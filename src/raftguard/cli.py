@@ -420,10 +420,17 @@ def _evaluate_point(config: ExperimentConfig, index: int, value: float) -> dict:
 
 
 def _worker_count(n_points: int) -> int:
+    """Pool size: ``RAFTGUARD_WORKERS`` if set, else 4, never more than
+    the sweep points or the CPUs."""
+    cap = max(1, min(os.cpu_count() or 1, n_points))
     env = os.environ.get("RAFTGUARD_WORKERS")
-    if env:
-        return max(1, int(env))
-    return max(1, min(4, os.cpu_count() or 1, n_points))
+    if not env:
+        return min(4, cap)
+    try:
+        requested = int(env)
+    except ValueError:
+        raise ConfigError([f"RAFTGUARD_WORKERS: expected an integer, got {env!r}"]) from None
+    return max(1, min(requested, cap))
 
 
 def _evaluate_point_star(args) -> dict:
@@ -488,6 +495,12 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _report_config_error(exc: ConfigError) -> int:
+    for diag in exc.diagnostics:
+        print(f"config error: {diag}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     overrides = {}
@@ -511,9 +524,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, overrides)
     except ConfigError as exc:
-        for diag in exc.diagnostics:
-            print(f"config error: {diag}", file=sys.stderr)
-        return 2
+        return _report_config_error(exc)
 
     n_points = len(config.sweep.values())
     if args.validate_only:
@@ -523,6 +534,8 @@ def main(argv=None) -> int:
 
     try:
         rows = evaluate(config)
+    except ConfigError as exc:
+        return _report_config_error(exc)
     except Exception as exc:  # numeric failure: report the row context
         print(f"numeric failure in scenario {config.scenario} "
               f"(sweep {config.sweep.variable} from {config.sweep.start} "

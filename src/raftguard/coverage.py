@@ -4,9 +4,10 @@ The jammer field is a PPP on an annulus around the receiver and the
 desired link distance follows the typical-follower density, so the
 coverage probability in each direction is a one-dimensional integral of
 the interference Laplace transform against that density.  The Laplace
-transform itself has a hypergeometric closed form; an adaptive
-quadrature of its defining radial integral is kept alongside as an
-independent route for cross-checking.
+transform has a hypergeometric closed form for every annulus, including
+one that starts at the receiver; an adaptive quadrature of its defining
+radial integral is kept only as the oracle the closed form is checked
+against.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from scipy import integrate
 
 from raftguard.channel import NetworkParams
 from raftguard.geometry import AnnulusRegion
-from raftguard.specfun import Tolerance, hyp2f1
+from raftguard.specfun import hyp2f1
 
 __all__ = [
     "CoverageMethod",
@@ -47,11 +48,6 @@ ORACLE_GRID = tuple(
     for z1 in (10.0, 50.0, 150.0)
     for r in (10.0, 100.0, 400.0)
 )
-
-# Below this inner radius the z1^(2-alpha) factor of the closed form
-# blows up against a vanishing hypergeometric value (0 * inf in the
-# limit), so the defining integral is evaluated directly instead.
-CLOSED_FORM_MIN_INNER = 1e-3
 
 # Truncation point of the outer integral: the typical-distance density
 # beyond sqrt(30/(pi*rho_t)) carries exp(-30) < 1e-13 of mass.
@@ -137,18 +133,28 @@ def _laplace_quadrature(
 
 def _laplace_closed_form(
     r: float, beta: float, gamma: float, rho_j: float, alpha: float,
-    annulus: AnnulusRegion, tol: Tolerance | None,
+    annulus: AnnulusRegion,
 ) -> float:
     z1, z2 = annulus.inner, annulus.outer
     b = 1.0 - 2.0 / alpha
     c = 2.0 - 2.0 / alpha
-    f_outer = hyp2f1(1.0, b, c, -gamma * beta * (r / z2) ** alpha, tol)
-    f_inner = hyp2f1(1.0, b, c, -gamma * beta * (r / z1) ** alpha, tol)
+    f_outer = hyp2f1(1.0, b, c, -gamma * beta * (r / z2) ** alpha)
+    if z1 > 0.0:
+        inner = z1 ** (2.0 - alpha) * hyp2f1(1.0, b, c, -gamma * beta * (r / z1) ** alpha)
+    else:
+        # z1 -> 0 limit of the inner term: the leading large-argument
+        # term of 2F1 cancels the diverging z1^(2-alpha) factor
+        inner = math.gamma(c) * math.gamma(2.0 / alpha) * (gamma * beta * r**alpha) ** (-b)
     prefactor = math.pi * rho_j * gamma * beta * r**alpha / (alpha / 2.0 - 1.0)
     # the bracketed difference is intrinsically negative, so the whole
     # exponent is <= 0 and the transform stays in (0, 1]
-    bracket = z2 ** (2.0 - alpha) * f_outer - z1 ** (2.0 - alpha) * f_inner
+    bracket = z2 ** (2.0 - alpha) * f_outer - inner
     return math.exp(prefactor * bracket)
+
+
+def _check_method(method: str) -> None:
+    if method not in ("closed_form", "quadrature"):
+        raise ValueError(f"unknown method {method!r}")
 
 
 def laplace_interference(
@@ -159,18 +165,17 @@ def laplace_interference(
     alpha: float,
     annulus: AnnulusRegion,
     *,
-    method: str = "auto",
-    tol: Tolerance | None = None,
+    method: str = "closed_form",
 ) -> float:
     """Laplace transform of the annular jammer interference, evaluated
     at the SIR-coverage exponent s = beta * r^alpha / P_tx.
 
     ``gamma`` is the jammer-to-transmitter power ratio.  ``method``
-    selects "closed_form" (hypergeometric), "quadrature" (adaptive
-    integration of the defining radial integral), or "auto", which uses
-    the closed form unless the annulus inner radius is too small for it
-    to be well conditioned.
+    selects "closed_form" (hypergeometric, valid for every annulus
+    including inner radius 0) or "quadrature" (adaptive integration of
+    the defining radial integral, kept only as the cross-check oracle).
     """
+    _check_method(method)
     if not (math.isfinite(r) and r > 0.0):
         raise ValueError(f"r must be positive, got {r}")
     if not (math.isfinite(beta) and beta >= 0.0):
@@ -183,20 +188,13 @@ def laplace_interference(
         raise ValueError(f"alpha must be > 2, got {alpha}")
     if rho_j == 0.0 or beta == 0.0:
         return 1.0
-    if method == "auto":
-        method = "closed_form" if annulus.inner >= CLOSED_FORM_MIN_INNER else "quadrature"
-    if method == "closed_form":
-        if annulus.inner <= 0.0:
-            raise ValueError("closed form requires a strictly positive inner radius")
-        return _laplace_closed_form(r, beta, gamma, rho_j, alpha, annulus, tol)
     if method == "quadrature":
         return _laplace_quadrature(r, beta, gamma, rho_j, alpha, annulus)
-    raise ValueError(f"unknown method {method!r}")
+    return _laplace_closed_form(r, beta, gamma, rho_j, alpha, annulus)
 
 
 def _coverage_direction(
-    beta: float, gamma: float, params: NetworkParams,
-    method: str, tol: Tolerance | None,
+    beta: float, gamma: float, params: NetworkParams, method: str,
 ) -> tuple[float, float]:
     rho_t = params.rho_t
     r_max = math.sqrt(_OUTER_TAIL_EXPONENT / (math.pi * rho_t))
@@ -206,7 +204,7 @@ def _coverage_direction(
             return 0.0
         lap = laplace_interference(
             r, beta, gamma, params.rho_j, params.alpha, params.annulus,
-            method=method, tol=tol,
+            method=method,
         )
         return 2.0 * math.pi * rho_t * r * math.exp(-rho_t * math.pi * r * r) * lap
 
@@ -214,28 +212,25 @@ def _coverage_direction(
     return min(max(val, 0.0), 1.0), err
 
 
-def coverage_dl(
-    params: NetworkParams, *, method: str = "auto", tol: Tolerance | None = None
-) -> float:
+def coverage_dl(params: NetworkParams, *, method: str = "closed_form") -> float:
     """Downlink coverage probability P(SIR_DL > beta_DL) for the
     typical follower, averaged over its link distance."""
-    return _coverage_direction(params.beta_dl, params.gamma_dl, params, method, tol)[0]
+    _check_method(method)
+    return _coverage_direction(params.beta_dl, params.gamma_dl, params, method)[0]
 
 
-def coverage_ul(
-    params: NetworkParams, *, method: str = "auto", tol: Tolerance | None = None
-) -> float:
+def coverage_ul(params: NetworkParams, *, method: str = "closed_form") -> float:
     """Uplink coverage probability P(SIR_UL > beta_UL) at the leader."""
-    return _coverage_direction(params.beta_ul, params.gamma_ul, params, method, tol)[0]
+    _check_method(method)
+    return _coverage_direction(params.beta_ul, params.gamma_ul, params, method)[0]
 
 
-def coverage_joint(
-    params: NetworkParams, *, method: str = "auto", tol: Tolerance | None = None
-) -> CoverageResult:
+def coverage_joint(params: NetworkParams, *, method: str = "closed_form") -> CoverageResult:
     """Joint coverage: product of the downlink and uplink marginals
     (the two directions use independent fading)."""
-    p_dl, err_dl = _coverage_direction(params.beta_dl, params.gamma_dl, params, method, tol)
-    p_ul, err_ul = _coverage_direction(params.beta_ul, params.gamma_ul, params, method, tol)
+    _check_method(method)
+    p_dl, err_dl = _coverage_direction(params.beta_dl, params.gamma_dl, params, method)
+    p_ul, err_ul = _coverage_direction(params.beta_ul, params.gamma_ul, params, method)
     label = CoverageMethod.QUADRATURE_ORACLE if method == "quadrature" else CoverageMethod.CLOSED_FORM
     return CoverageResult(
         p_dl=p_dl,

@@ -215,7 +215,6 @@ class AuthSimResult:
     n_trials: int
     n_accepted: int
     n_wrong_index: int
-    n_wrong_index_accepted: int
     n_claimed_accepted: int | None = None
 
     def __post_init__(self) -> None:
@@ -223,7 +222,7 @@ class AuthSimResult:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.n_trials < 1:
             raise ValueError("n_trials must be positive")
-        for name in ("n_accepted", "n_wrong_index", "n_wrong_index_accepted"):
+        for name in ("n_accepted", "n_wrong_index"):
             v = getattr(self, name)
             if not 0 <= v <= self.n_trials:
                 raise ValueError(f"{name} = {v} outside [0, n_trials]")
@@ -259,12 +258,6 @@ class AuthSimResult:
         (unconditional on acceptance)."""
         self._require("legit", "p_mc")
         return self.n_wrong_index / self.n_trials
-
-    @property
-    def p_mc_accepted(self) -> float:
-        """Rate of trials both accepted and matched to a wrong index."""
-        self._require("legit", "p_mc_accepted")
-        return self.n_wrong_index_accepted / self.n_trials
 
 
 def simulate_auth(
@@ -308,7 +301,6 @@ def simulate_auth(
 
     n_accepted = 0
     n_wrong = 0
-    n_wrong_accepted = 0
     n_claimed_accepted = 0
     for index, size in enumerate(_chunk_sizes(n_trials)):
         rng = _chunk_rng(master_seed, index)
@@ -329,9 +321,7 @@ def simulate_auth(
         accepted = dev[np.arange(size), matched] < eps
         n_accepted += int(np.count_nonzero(accepted))
         if scenario == "legit":
-            wrong = matched != ident
-            n_wrong += int(np.count_nonzero(wrong))
-            n_wrong_accepted += int(np.count_nonzero(wrong & accepted))
+            n_wrong += int(np.count_nonzero(matched != ident))
         else:
             n_claimed_accepted += int(np.count_nonzero(np.abs(z - gt[claimed]) < eps))
 
@@ -340,6 +330,5 @@ def simulate_auth(
         n_trials=n_trials,
         n_accepted=n_accepted,
         n_wrong_index=n_wrong,
-        n_wrong_index_accepted=n_wrong_accepted,
         n_claimed_accepted=n_claimed_accepted if scenario == "eve" else None,
     )

@@ -226,6 +226,28 @@ def test_numeric_failure_exits_three(tmp_path, capsys, monkeypatch):
     assert "numeric failure" in err and "beta_db" in err
 
 
+def test_worker_count_is_clamped(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setenv("RAFTGUARD_WORKERS", "100000")
+    assert cli._worker_count(16) == 8
+    assert cli._worker_count(3) == 3
+    monkeypatch.setenv("RAFTGUARD_WORKERS", "0")
+    assert cli._worker_count(16) == 1
+    monkeypatch.delenv("RAFTGUARD_WORKERS")
+    assert cli._worker_count(16) == 4
+
+
+def test_malformed_worker_count_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("RAFTGUARD_WORKERS", "abc")
+    with pytest.raises(cli.ConfigError):
+        cli._worker_count(4)
+    path = write_config(tmp_path, base_config(tmp_path))
+    assert cli.main(["--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error: RAFTGUARD_WORKERS" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_shipped_configs_validate():
     import glob
 

@@ -81,15 +81,34 @@ def test_laplace_trivial_limits():
     assert laplace_interference(100.0, 0.01, 0.01, 0.0, 3.0, ANNULUS) == 1.0
 
 
-def test_closed_form_requires_positive_inner_radius():
-    with pytest.raises(ValueError):
-        laplace_interference(100.0, 0.01, 0.01, RHO_J, 3.0, ANNULUS, method="closed_form")
+def test_closed_form_matches_quadrature_at_zero_inner_radius():
+    # an annulus starting at the receiver takes the z1 -> 0 limit of the
+    # inner hypergeometric term
+    worst = 0.0
+    for alpha in (2.5, 3.0, 4.0):
+        for beta_db in (-30.0, -20.0, -10.0, 0.0):
+            for outer in (50.0, 300.0):
+                for r in (10.0, 100.0, 400.0):
+                    args = (r, db_to_linear(beta_db), ORACLE_GRID_GAMMA,
+                            ORACLE_GRID_RHO_J, alpha, AnnulusRegion(0.0, outer))
+                    cf = laplace_interference(*args, method="closed_form")
+                    quad = laplace_interference(*args, method="quadrature")
+                    assert 0.0 < cf < 1.0
+                    worst = max(worst, abs(cf - quad))
+    assert worst <= 1e-8
 
 
-def test_auto_routes_zero_inner_through_quadrature():
-    # annulus starting at the receiver still evaluates fine
-    val = laplace_interference(100.0, 0.01, 0.01, RHO_J, 3.0, ANNULUS)
-    assert 0.0 < val < 1.0
+@pytest.mark.parametrize("call", [
+    lambda: laplace_interference(100.0, 0.0, 0.01, RHO_J, 3.0, ANNULUS, method="bogus"),
+    lambda: laplace_interference(100.0, 0.01, 0.01, 0.0, 3.0, ANNULUS, method="bogus"),
+    lambda: coverage_dl(NetworkParams(rho_j=0.0), method="bogus"),
+    lambda: coverage_ul(NetworkParams(rho_j=0.0), method="bogus"),
+    lambda: coverage_joint(NetworkParams(rho_j=0.0), method="bogus"),
+    lambda: coverage_joint(NetworkParams(), method="auto"),
+], ids=["laplace_beta0", "laplace_rho0", "dl", "ul", "joint", "joint_auto"])
+def test_unknown_method_rejected_before_shortcuts(call):
+    with pytest.raises(ValueError, match="unknown method"):
+        call()
 
 
 def test_laplace_rejects_bad_arguments():

@@ -154,7 +154,7 @@ def test_auth_rejects_eves_for_legit_runs():
 def test_auth_result_count_bounds():
     with pytest.raises(ValueError):
         AuthSimResult(scenario="legit", n_trials=10, n_accepted=11,
-                      n_wrong_index=0, n_wrong_index_accepted=0)
+                      n_wrong_index=0)
 
 
 def test_auth_fixed_eves_respect_priors():
