@@ -8,12 +8,8 @@ seeded Monte Carlo engines that cross-validate every closed form.
 from raftguard.auth import (
     AuthProfile,
     ErrorProbabilities,
-    Hypothesis,
-    decide,
     error_probabilities,
-    ground_truth_from_deployment,
     lq_db_to_sigma,
-    ml_identify,
     p_fa_closed_form,
     p_md_closed_form,
     p_md_expected,
@@ -32,7 +28,7 @@ from raftguard.coverage import (
     coverage_ul,
     laplace_interference,
 )
-from raftguard.geometry import AnnulusRegion, Deployment, DiskRegion
+from raftguard.geometry import AnnulusRegion, DiskRegion
 from raftguard.montecarlo import (
     ConsensusOutcome,
     TrialConfig,
@@ -51,24 +47,19 @@ __all__ = [
     "ConvergenceError",
     "CoverageMethod",
     "CoverageResult",
-    "Deployment",
     "DiskRegion",
     "ErrorProbabilities",
-    "Hypothesis",
     "NetworkParams",
     "Tolerance",
     "TrialConfig",
     "coverage_dl",
     "coverage_joint",
     "coverage_ul",
-    "decide",
     "error_probabilities",
     "estimate_coverage",
-    "ground_truth_from_deployment",
     "hyp2f1",
     "laplace_interference",
     "lq_db_to_sigma",
-    "ml_identify",
     "p_fa_closed_form",
     "p_md_closed_form",
     "p_md_expected",

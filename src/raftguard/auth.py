@@ -3,8 +3,9 @@
 The leader keeps one expected pathloss value (a fingerprint, in dB) per
 enrolled follower.  An incoming measurement is matched to the nearest
 fingerprint; the residual is compared to a threshold calibrated for a
-target false-alarm rate.  This module holds the closed-form error
-rates; the Monte Carlo counterpart lives in ``raftguard.montecarlo``.
+target false-alarm rate.  This module holds the profile with both of
+those rules, which the Monte Carlo counterpart in
+``raftguard.montecarlo`` calls, and the closed-form error rates.
 """
 
 from __future__ import annotations
@@ -12,24 +13,19 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from raftguard.channel import pathloss_db
-from raftguard.geometry import Deployment, DiskRegion, uniform_disk_points
+from raftguard.geometry import DiskRegion, uniform_disk_points
 from raftguard.specfun import q_function, q_inverse
 
 __all__ = [
-    "Hypothesis",
     "AuthProfile",
     "ErrorProbabilities",
     "lq_db_to_sigma",
     "sigma_to_lq_db",
-    "ground_truth_from_deployment",
     "sample_fingerprints",
-    "ml_identify",
-    "decide",
     "threshold_for_pfa",
     "p_fa_closed_form",
     "p_md_closed_form",
@@ -43,13 +39,6 @@ __all__ = [
 # at the deployment disk edge (500 m) under the default exponent 3.
 DEFAULT_PSI_MIN = 0.0
 DEFAULT_PSI_MAX = float(pathloss_db(500.0, 3.0))
-
-
-class Hypothesis(Enum):
-    """H0: the transmitter is an enrolled follower.  H1: intruder."""
-
-    H0 = 0
-    H1 = 1
 
 
 def lq_db_to_sigma(lq_db: float) -> float:
@@ -119,6 +108,24 @@ class AuthProfile:
     def follower_priors(self) -> np.ndarray:
         return _validated_priors(self.priors, self.m, "priors")
 
+    def intruders(self, eve_pathlosses) -> tuple[np.ndarray, np.ndarray]:
+        """Validated intruder fingerprints and their priors."""
+        psi_e = np.atleast_1d(np.asarray(eve_pathlosses, dtype=float))
+        if psi_e.ndim != 1 or psi_e.size == 0 or not np.all(np.isfinite(psi_e)):
+            raise ValueError("eve_pathlosses must be a non-empty 1-D finite array")
+        return psi_e, _validated_priors(self.eve_priors, psi_e.size, "eve_priors")
+
+    def nearest(self, z):
+        """Maximum-likelihood identification: index of the fingerprint
+        nearest each measurement in ``z``, the lowest index on ties."""
+        z = np.asarray(z, dtype=float)
+        return np.argmin(np.abs(z[..., None] - self.ground_truth), axis=-1)
+
+    def accepts(self, z, index):
+        """Threshold test against fingerprint ``index``: accept (H0) iff
+        ``|z - Psi[index]| < epsilon``; the boundary itself rejects."""
+        return np.abs(np.asarray(z, dtype=float) - self.ground_truth[index]) < self.epsilon
+
 
 @dataclass(frozen=True)
 class ErrorProbabilities:
@@ -134,15 +141,6 @@ class ErrorProbabilities:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} = {v} is not a probability")
-
-
-def ground_truth_from_deployment(deployment: Deployment, alpha: float) -> np.ndarray:
-    """Fingerprint vector of a deployment's followers (leader's view)."""
-    pts = deployment.followers
-    if pts.shape[0] == 0:
-        raise ValueError("deployment has no followers to enroll")
-    d = np.hypot(pts[:, 0], pts[:, 1])
-    return pathloss_db(d, alpha)
 
 
 def sample_fingerprints(
@@ -161,29 +159,6 @@ def sample_fingerprints(
     gt = pathloss_db(np.hypot(followers[:, 0], followers[:, 1]), alpha)
     eve = pathloss_db(np.hypot(intruders[:, 0], intruders[:, 1]), alpha) if n_intruders else np.empty(0)
     return np.atleast_1d(gt), np.atleast_1d(eve)
-
-
-def ml_identify(z: float, profile: AuthProfile) -> tuple[float, int]:
-    """Nearest-fingerprint match: returns (test statistic, index).
-
-    The statistic is min_i |z - Psi_i|; ties resolve to the lowest
-    index, which is what argmin does on exact ties.
-    """
-    if not math.isfinite(z):
-        raise ValueError(f"measurement must be finite, got {z}")
-    dev = np.abs(z - profile.ground_truth)
-    idx = int(np.argmin(dev))
-    return float(dev[idx]), idx
-
-
-def decide(test_statistic: float, epsilon: float) -> Hypothesis:
-    """Threshold test: H0 iff the statistic is strictly below epsilon
-    (the boundary itself rejects)."""
-    if not (math.isfinite(test_statistic) and test_statistic >= 0.0):
-        raise ValueError(f"test statistic must be >= 0, got {test_statistic}")
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    return Hypothesis.H0 if test_statistic < epsilon else Hypothesis.H1
 
 
 def threshold_for_pfa(p_fa_target: float, sigma: float) -> float:
@@ -234,10 +209,7 @@ def p_md_closed_form(profile: AuthProfile, eve_pathlosses) -> float:
     that identity's threshold test.  Clipped into [0, 1] with a
     diagnostic if the window sum overruns.
     """
-    psi_e = np.atleast_1d(np.asarray(eve_pathlosses, dtype=float))
-    if psi_e.ndim != 1 or psi_e.size == 0 or not np.all(np.isfinite(psi_e)):
-        raise ValueError("eve_pathlosses must be a non-empty 1-D finite array")
-    pi_j = _validated_priors(profile.eve_priors, psi_e.size, "eve_priors")
+    psi_e, pi_j = profile.intruders(eve_pathlosses)
     total = 0.0
     for j, psi in enumerate(psi_e):
         total += pi_j[j] * _window_sum(profile, float(psi), profile.epsilon)

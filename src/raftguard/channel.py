@@ -1,4 +1,4 @@
-"""Radio link model: transmit powers, pathloss, Rayleigh fading, SIR.
+"""Radio link model: transmit powers, pathloss, Rayleigh fading, SIR test.
 
 All powers are configured in dBm and converted to linear milliwatts
 internally; only power ratios ever matter to the results.  The network
@@ -19,9 +19,8 @@ __all__ = [
     "db_to_linear",
     "linear_to_db",
     "pathloss_db",
+    "covered",
     "sample_fading",
-    "sir_dl",
-    "sir_ul",
 ]
 
 # Table of defaults: leader 30 dBm, follower 20 dBm, jammer 10 dBm,
@@ -119,56 +118,16 @@ class NetworkParams:
         return db_to_linear(self.p_jammer_dbm - self.p_follower_dbm)
 
 
-def _sir(
-    tx_power: float,
-    link_distance: float,
-    jammer_power: float,
-    jammer_xy: np.ndarray,
-    h_signal: float,
-    h_jammers: np.ndarray,
-    alpha: float,
-) -> float:
-    if link_distance <= 0.0:
-        raise ValueError("link distance must be > 0")
-    h_jammers = np.asarray(h_jammers, dtype=float)
-    jammer_xy = np.asarray(jammer_xy, dtype=float).reshape(-1, 2)
-    if h_jammers.size != jammer_xy.shape[0]:
-        raise ValueError("one fading gain per jammer is required")
-    signal = tx_power * h_signal * link_distance ** (-alpha)
-    if jammer_xy.shape[0] == 0:
-        return math.inf
-    d = np.hypot(jammer_xy[:, 0], jammer_xy[:, 1])
-    if np.any(d <= 0.0):
-        raise ValueError("jammer at zero distance")
-    interference = float(np.sum(jammer_power * h_jammers * d ** (-alpha)))
-    if interference == 0.0:
-        return math.inf
-    return signal / interference
+def covered(signal, interference_terms, owner, beta: float) -> np.ndarray:
+    """The SIR coverage test ``signal > beta * sum of interference`` for
+    a batch of receivers.
 
-
-def sir_dl(
-    follower_xy,
-    jammer_xy,
-    h_signal: float,
-    h_jammers,
-    params: NetworkParams,
-) -> float:
-    """Downlink SIR at a follower: leader signal over aggregate jammer
-    interference, distances measured from the origin.  Returns +inf when
-    the jammer set is empty (interference-limited model, no noise)."""
-    follower_xy = np.asarray(follower_xy, dtype=float)
-    r = float(np.hypot(follower_xy[0], follower_xy[1]))
-    return _sir(params.p_leader, r, params.p_jammer, jammer_xy, h_signal, h_jammers, params.alpha)
-
-
-def sir_ul(
-    follower_xy,
-    jammer_xy,
-    h_signal: float,
-    h_jammers,
-    params: NetworkParams,
-) -> float:
-    """Uplink SIR at the leader for a transmission from the follower."""
-    follower_xy = np.asarray(follower_xy, dtype=float)
-    r = float(np.hypot(follower_xy[0], follower_xy[1]))
-    return _sir(params.p_follower, r, params.p_jammer, jammer_xy, h_signal, h_jammers, params.alpha)
+    ``signal[i]`` is receiver i's received signal power and
+    ``interference_terms[j]`` one interferer's received power at receiver
+    ``owner[j]``.  A receiver that owns no interferer sees zero
+    interference (interference-limited model, no noise) and is covered
+    whenever its signal is positive.
+    """
+    signal = np.asarray(signal)
+    interference = np.bincount(owner, weights=interference_terms, minlength=signal.size)
+    return signal > beta * interference

@@ -17,6 +17,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -34,19 +35,13 @@ from raftguard.channel import NetworkParams
 from raftguard.coverage import coverage_joint
 from raftguard.geometry import AnnulusRegion, DiskRegion
 from raftguard.montecarlo import TrialConfig, estimate_coverage, simulate_auth
+from raftguard.specfun import ConvergenceError
 
-__all__ = ["ExperimentConfig", "SweepSpec", "AuthSettings", "ConfigError", "main"]
+__all__ = [
+    "ExperimentConfig", "SweepSpec", "AuthSettings", "ConfigError", "PointFailure", "main",
+]
 
 SCHEMA_VERSION = 1
-
-# scenario name -> the sweep variable it requires
-SCENARIO_VARIABLES = {
-    "coverage_vs_beta": "beta_db",
-    "coverage_vs_jam_area": "z2",
-    "coverage_vs_jam_distance": "z1",
-    "auth_errors_vs_lq": "lq_db",
-    "roc": "p_fa",
-}
 
 COVERAGE_COLUMNS = [
     "sweep_var", "sweep_value",
@@ -67,6 +62,16 @@ _PARAM_KEYS = {
     "disk_radius_m", "annulus_inner_m", "annulus_outer_m",
 }
 _AUTH_KEYS = {"m", "n_eves", "profile_seed", "epsilon_db", "lq_db"}
+
+
+class PointFailure(Exception):
+    """A numeric failure while evaluating one sweep point."""
+
+    def __init__(self, index: int, value: float, message: str):
+        super().__init__(index, value, message)
+        self.index = index
+        self.value = value
+        self.message = message
 
 
 class ConfigError(Exception):
@@ -244,10 +249,11 @@ def build_config(data: dict, raw_text: str, overrides: dict | None = None) -> Ex
     scenario = overrides.get("scenario", data.get("scenario"))
     if scenario is None:
         errors.add("scenario", "missing required key")
-    elif scenario not in SCENARIO_VARIABLES:
+    elif not isinstance(scenario, str) or scenario not in SCENARIOS:
         errors.add("scenario", f"unknown scenario {scenario!r}; "
-                   f"expected one of {sorted(SCENARIO_VARIABLES)}")
+                   f"expected one of {sorted(SCENARIOS)}")
         scenario = None
+    spec = SCENARIOS.get(scenario)
 
     sweep = None
     raw_sweep = data.get("sweep")
@@ -260,9 +266,9 @@ def build_config(data: dict, raw_text: str, overrides: dict | None = None) -> Ex
         step = _number(raw_sweep, "step", "sweep.step", errors)
         if not isinstance(var, str):
             errors.add("sweep.variable", "missing sweep variable name")
-        elif scenario and var != SCENARIO_VARIABLES[scenario]:
+        elif spec and var != spec.variable:
             errors.add("sweep.variable",
-                       f"scenario {scenario} sweeps {SCENARIO_VARIABLES[scenario]!r}, got {var!r}")
+                       f"scenario {scenario} sweeps {spec.variable!r}, got {var!r}")
         if None not in (start, stop, step) and isinstance(var, str):
             if step <= 0.0:
                 errors.add("sweep.step", f"must be > 0, got {step}")
@@ -270,10 +276,9 @@ def build_config(data: dict, raw_text: str, overrides: dict | None = None) -> Ex
                 errors.add("sweep.start", f"start {start} exceeds stop {stop}")
             else:
                 sweep = SweepSpec(variable=var, start=start, stop=stop, step=step)
-    if sweep and scenario == "roc" and (sweep.start <= 0.0 or sweep.stop >= 1.0):
-        errors.add("sweep.start", "false-alarm targets must lie strictly inside (0, 1)")
-    if sweep and scenario in ("coverage_vs_jam_area", "coverage_vs_jam_distance") and sweep.start < 0.0:
-        errors.add("sweep.start", "annulus radii cannot be negative")
+    domain_error = spec.domain_error(sweep) if sweep and spec else None
+    if domain_error:
+        errors.add("sweep.start", domain_error)
 
     n_trials = overrides.get("n_trials",
                              _integer(data, "n_trials", "n_trials", errors, minimum=1))
@@ -292,7 +297,7 @@ def build_config(data: dict, raw_text: str, overrides: dict | None = None) -> Ex
         errors.add("output.format", f"expected 'csv' or 'json', got {out_format!r}")
 
     params = _build_params(data, errors)
-    auth = _build_auth(data, errors, required=scenario in ("auth_errors_vs_lq", "roc"))
+    auth = _build_auth(data, errors, required=spec is not None and spec.needs_auth)
 
     errors.raise_if_any()
     return ExperimentConfig(
@@ -331,19 +336,24 @@ def _profile_arrays(config: ExperimentConfig):
     return sample_fingerprints(a.m, a.n_eves, config.params.disk, config.params.alpha, rng)
 
 
+def _beta_point(p: NetworkParams, value: float) -> NetworkParams:
+    return replace(p, beta_dl_db=value, beta_ul_db=value)
+
+
+def _jam_area_point(p: NetworkParams, value: float) -> NetworkParams:
+    if value <= p.annulus.inner:
+        # the jamming band is empty at this sweep point
+        return replace(p, rho_j=0.0)
+    return replace(p, annulus=AnnulusRegion(p.annulus.inner, value))
+
+
+def _jam_distance_point(p: NetworkParams, value: float) -> NetworkParams:
+    return replace(p, annulus=AnnulusRegion(value, value + 50.0))
+
+
 def _coverage_row(config: ExperimentConfig, index: int, value: float) -> dict:
-    p = config.params
     var = config.sweep.variable
-    if var == "beta_db":
-        point = replace(p, beta_dl_db=value, beta_ul_db=value)
-    elif var == "z2":
-        if value <= p.annulus.inner:
-            # the jamming band is empty at this sweep point
-            point = replace(p, rho_j=0.0)
-        else:
-            point = replace(p, annulus=AnnulusRegion(p.annulus.inner, value))
-    else:
-        point = replace(p, annulus=AnnulusRegion(value, value + 50.0))
+    point = SCENARIOS[config.scenario].point(config.params, value)
     ana = coverage_joint(point)
     mc = estimate_coverage(TrialConfig(point, config.n_trials, _derive_seed(config.master_seed, index)))
     gaps = (abs(ana.p_dl - mc.p_dl), abs(ana.p_ul - mc.p_ul), abs(ana.p_joint - mc.p_joint))
@@ -398,25 +408,58 @@ def _roc_row(config: ExperimentConfig, index: int, value: float) -> dict:
     }
 
 
-_ROW_BUILDERS = {
-    "coverage_vs_beta": _coverage_row,
-    "coverage_vs_jam_area": _coverage_row,
-    "coverage_vs_jam_distance": _coverage_row,
-    "auth_errors_vs_lq": _auth_row,
-    "roc": _roc_row,
+def _any_sweep(sweep: SweepSpec) -> str | None:
+    return None
+
+
+def _probability_sweep(sweep: SweepSpec) -> str | None:
+    if sweep.start <= 0.0 or sweep.stop >= 1.0:
+        return "false-alarm targets must lie strictly inside (0, 1)"
+    return None
+
+
+def _radius_sweep(sweep: SweepSpec) -> str | None:
+    if sweep.start < 0.0:
+        return "annulus radii cannot be negative"
+    return None
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One sweep scenario: the variable it sweeps, its output columns,
+    the function computing one row, whether it needs an ``auth`` block,
+    the sweep-domain check (a diagnostic, or None), and for coverage
+    scenarios the network parameters at one sweep value."""
+
+    variable: str
+    columns: list[str]
+    row: Callable[[ExperimentConfig, int, float], dict]
+    needs_auth: bool = False
+    domain_error: Callable[[SweepSpec], str | None] = _any_sweep
+    point: Callable[[NetworkParams, float], NetworkParams] | None = None
+
+
+SCENARIOS = {
+    "coverage_vs_beta": Scenario("beta_db", COVERAGE_COLUMNS, _coverage_row, point=_beta_point),
+    "coverage_vs_jam_area": Scenario("z2", COVERAGE_COLUMNS, _coverage_row,
+                                     domain_error=_radius_sweep, point=_jam_area_point),
+    "coverage_vs_jam_distance": Scenario("z1", COVERAGE_COLUMNS, _coverage_row,
+                                         domain_error=_radius_sweep, point=_jam_distance_point),
+    "auth_errors_vs_lq": Scenario("lq_db", AUTH_COLUMNS, _auth_row, needs_auth=True),
+    "roc": Scenario("p_fa", ROC_COLUMNS, _roc_row, needs_auth=True,
+                    domain_error=_probability_sweep),
 }
 
 
 def columns_for(scenario: str) -> list[str]:
-    if scenario in ("auth_errors_vs_lq",):
-        return AUTH_COLUMNS
-    if scenario == "roc":
-        return ROC_COLUMNS
-    return COVERAGE_COLUMNS
+    return SCENARIOS[scenario].columns
 
 
 def _evaluate_point(config: ExperimentConfig, index: int, value: float) -> dict:
-    return _ROW_BUILDERS[config.scenario](config, index, value)
+    try:
+        return SCENARIOS[config.scenario].row(config, index, value)
+    except (ArithmeticError, ValueError, ConvergenceError) as exc:
+        raise PointFailure(index, value, f"{type(exc).__name__}: {exc}") from exc
 
 
 def _worker_count(n_points: int) -> int:
@@ -536,10 +579,10 @@ def main(argv=None) -> int:
         rows = evaluate(config)
     except ConfigError as exc:
         return _report_config_error(exc)
-    except Exception as exc:  # numeric failure: report the row context
-        print(f"numeric failure in scenario {config.scenario} "
-              f"(sweep {config.sweep.variable} from {config.sweep.start} "
-              f"to {config.sweep.stop}): {exc}", file=sys.stderr)
+    except PointFailure as exc:
+        print(f"numeric failure in scenario {config.scenario} at point {exc.index} "
+              f"({config.sweep.variable} = {exc.value!r}, master seed {config.master_seed}): "
+              f"{exc.message}", file=sys.stderr)
         return 3
 
     columns = columns_for(config.scenario)

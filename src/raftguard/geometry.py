@@ -1,4 +1,4 @@
-"""Planar Poisson point process geometry for the network model.
+"""Regions and radial samplers for the network model.
 
 The leader sits at the origin.  Followers live in a disk around it,
 jammers in an annulus, both as homogeneous PPPs.  Radial sampling uses
@@ -8,15 +8,13 @@ inverse-CDF transforms so that area elements are uniform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DiskRegion",
     "AnnulusRegion",
-    "Deployment",
-    "sample_ppp",
     "uniform_disk_points",
     "disk_radii",
     "annulus_radii",
@@ -75,40 +73,13 @@ def annulus_radii(region: AnnulusRegion, n: int, rng: np.random.Generator) -> np
     return np.sqrt(lo2 + rng.random(n) * (hi2 - lo2))
 
 
-def _attach_angles(r: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    theta = rng.uniform(0.0, 2.0 * math.pi, r.size)
-    return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
-
-
-def sample_ppp(
-    intensity: float,
-    region: DiskRegion | AnnulusRegion,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One realization of a homogeneous PPP on the region.
-
-    Returns an (n, 2) array of planar points; n is Poisson with mean
-    intensity * area and may be zero.
-    """
-    if not isinstance(region, (DiskRegion, AnnulusRegion)):
-        raise TypeError(f"unsupported region type {type(region).__name__}")
-    if not (math.isfinite(intensity) and intensity >= 0.0):
-        raise ValueError(f"intensity must be >= 0 and finite, got {intensity}")
-    n = int(rng.poisson(intensity * region.area))
-    if n == 0:
-        return np.empty((0, 2))
-    if isinstance(region, DiskRegion):
-        r = disk_radii(region, n, rng)
-    else:
-        r = annulus_radii(region, n, rng)
-    return _attach_angles(r, rng)
-
-
 def uniform_disk_points(n: int, region: DiskRegion, rng: np.random.Generator) -> np.ndarray:
     """Exactly n points uniform on the disk (a PPP conditioned on count)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return _attach_angles(disk_radii(region, n, rng), rng)
+    r = disk_radii(region, n, rng)
+    theta = rng.uniform(0.0, 2.0 * math.pi, r.size)
+    return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
 
 
 def link_distances(rho_t: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -128,43 +99,3 @@ def distance_pdf(r, rho_t: float):
         raise ValueError("distance must be >= 0")
     out = 2.0 * math.pi * rho_t * r * np.exp(-rho_t * math.pi * r * r)
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class Deployment:
-    """A sampled network layout: leader at the origin, follower and
-    jammer point sets with the regions they were drawn from."""
-
-    followers: np.ndarray
-    jammers: np.ndarray
-    disk: DiskRegion
-    annulus: AnnulusRegion
-    leader: np.ndarray = field(default_factory=lambda: np.zeros(2))
-
-    def __post_init__(self) -> None:
-        for name, pts in (("followers", self.followers), ("jammers", self.jammers)):
-            if pts.ndim != 2 or pts.shape[1] != 2:
-                raise ValueError(f"{name} must be an (n, 2) array, got shape {pts.shape}")
-        tol = 1e-9
-        fr = np.hypot(self.followers[:, 0], self.followers[:, 1])
-        if fr.size and fr.max() > self.disk.radius * (1.0 + tol):
-            raise ValueError("follower outside the deployment disk")
-        jr = np.hypot(self.jammers[:, 0], self.jammers[:, 1])
-        if jr.size and (jr.min() < self.annulus.inner * (1.0 - tol) or jr.max() > self.annulus.outer * (1.0 + tol)):
-            raise ValueError("jammer outside the jamming annulus")
-
-    @classmethod
-    def sample(
-        cls,
-        rho_t: float,
-        rho_j: float,
-        disk: DiskRegion,
-        annulus: AnnulusRegion,
-        rng: np.random.Generator,
-    ) -> "Deployment":
-        return cls(
-            followers=sample_ppp(rho_t, disk, rng),
-            jammers=sample_ppp(rho_j, annulus, rng),
-            disk=disk,
-            annulus=annulus,
-        )

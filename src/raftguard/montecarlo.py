@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from raftguard.auth import AuthProfile
-from raftguard.channel import NetworkParams
+from raftguard.channel import NetworkParams, covered, sample_fading
 from raftguard.coverage import CoverageMethod, CoverageResult
 from raftguard.geometry import annulus_radii, disk_radii, link_distances
 from raftguard.specfun import q_inverse
@@ -69,18 +69,18 @@ class ConsensusOutcome:
             raise ValueError("mean counts cannot be negative")
 
 
-def _chunk_sizes(n_trials: int) -> list[int]:
+def _chunks(n_trials: int, master_seed: int):
+    """Yield (size, rng) per chunk of at most CHUNK_SIZE trials; chunk i
+    draws from ``SeedSequence(master_seed, spawn_key=(i,))``."""
     full, rem = divmod(n_trials, CHUNK_SIZE)
-    return [CHUNK_SIZE] * full + ([rem] if rem else [])
+    sizes = [CHUNK_SIZE] * full + ([rem] if rem else [])
+    for index, size in enumerate(sizes):
+        yield size, np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
-def _chunk_rng(master_seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
-
-
-def _wald_halfwidth(successes: int, n: int) -> float:
-    p = successes / n
-    return _Z95 * math.sqrt(p * (1.0 - p) / n)
+def _standard_error(p: float, n: int) -> float:
+    """Binomial standard error sqrt(p(1-p)/n) of a rate p over n trials."""
+    return math.sqrt(p * (1.0 - p) / n)
 
 
 def estimate_coverage(config: TrialConfig) -> CoverageResult:
@@ -97,31 +97,32 @@ def estimate_coverage(config: TrialConfig) -> CoverageResult:
     lam_j = p.rho_j * p.annulus.area
     n_dl = 0
     n_ul = 0
-    for index, size in enumerate(_chunk_sizes(config.n_trials)):
-        rng = _chunk_rng(config.master_seed, index)
+    for size, rng in _chunks(config.n_trials, config.master_seed):
         k = rng.poisson(lam_j, size)
         total = int(k.sum())
         d_jam = annulus_radii(p.annulus, total, rng)
-        h_jam_dl = rng.exponential(1.0, total)
-        h_jam_ul = rng.exponential(1.0, total)
+        h_jam_dl = sample_fading(rng, total)
+        h_jam_ul = sample_fading(rng, total)
         r = link_distances(p.rho_t, size, rng)
-        h_dl = rng.exponential(1.0, size)
-        h_ul = rng.exponential(1.0, size)
+        h_dl = sample_fading(rng, size)
+        h_ul = sample_fading(rng, size)
 
         trial = np.repeat(np.arange(size), k)
         with np.errstate(divide="ignore", invalid="ignore"):
             jam_gain = d_jam ** (-p.alpha)
-            i_dl = np.bincount(trial, weights=p.p_jammer * h_jam_dl * jam_gain, minlength=size)
-            i_ul = np.bincount(trial, weights=p.p_jammer * h_jam_ul * jam_gain, minlength=size)
             sig_gain = r ** (-p.alpha)
-            n_dl += int(np.count_nonzero(p.p_leader * h_dl * sig_gain > p.beta_dl * i_dl))
-            n_ul += int(np.count_nonzero(p.p_follower * h_ul * sig_gain > p.beta_ul * i_ul))
+            ok_dl = covered(p.p_leader * h_dl * sig_gain, p.p_jammer * h_jam_dl * jam_gain,
+                            trial, p.beta_dl)
+            ok_ul = covered(p.p_follower * h_ul * sig_gain, p.p_jammer * h_jam_ul * jam_gain,
+                            trial, p.beta_ul)
+        n_dl += int(np.count_nonzero(ok_dl))
+        n_ul += int(np.count_nonzero(ok_ul))
 
     n = config.n_trials
     p_dl = n_dl / n
     p_ul = n_ul / n
-    se_dl = math.sqrt(p_dl * (1.0 - p_dl) / n)
-    se_ul = math.sqrt(p_ul * (1.0 - p_ul) / n)
+    se_dl = _standard_error(p_dl, n)
+    se_ul = _standard_error(p_ul, n)
     ci_joint = _Z95 * math.sqrt((p_ul * se_dl) ** 2 + (p_dl * se_ul) ** 2)
     return CoverageResult(
         p_dl=p_dl,
@@ -150,8 +151,7 @@ def simulate_consensus(config: TrialConfig) -> ConsensusOutcome:
     n_consensus = 0
     total_followers = 0
     total_successes = 0
-    for index, size in enumerate(_chunk_sizes(config.n_trials)):
-        rng = _chunk_rng(config.master_seed, index)
+    for size, rng in _chunks(config.n_trials, config.master_seed):
         m = rng.poisson(lam_t, size)
         k = rng.poisson(lam_j, size)
         m_total = int(m.sum())
@@ -162,10 +162,10 @@ def simulate_consensus(config: TrialConfig) -> ConsensusOutcome:
         follower_trial = np.repeat(np.arange(size), m)
         k_per_follower = k[follower_trial]
         pair_total = int(k_per_follower.sum())
-        h_pair_dl = rng.exponential(1.0, pair_total)
-        h_pair_ul = rng.exponential(1.0, pair_total)
-        h_sig_dl = rng.exponential(1.0, m_total)
-        h_sig_ul = rng.exponential(1.0, m_total)
+        h_pair_dl = sample_fading(rng, pair_total)
+        h_pair_ul = sample_fading(rng, pair_total)
+        h_sig_dl = sample_fading(rng, m_total)
+        h_sig_ul = sample_fading(rng, m_total)
 
         pair_follower = np.repeat(np.arange(m_total), k_per_follower)
         pair_offsets = np.concatenate(([0], np.cumsum(k_per_follower)))[:-1]
@@ -175,16 +175,12 @@ def simulate_consensus(config: TrialConfig) -> ConsensusOutcome:
 
         with np.errstate(divide="ignore", invalid="ignore"):
             jam_power = p.p_jammer * d_jam ** (-p.alpha)
-            i_dl = np.bincount(
-                pair_follower, weights=h_pair_dl * jam_power[pair_jammer], minlength=m_total
-            )
-            i_ul = np.bincount(
-                pair_follower, weights=h_pair_ul * jam_power[pair_jammer], minlength=m_total
-            )
             sig_gain = r_f ** (-p.alpha)
-            ok = (p.p_leader * h_sig_dl * sig_gain > p.beta_dl * i_dl) & (
-                p.p_follower * h_sig_ul * sig_gain > p.beta_ul * i_ul
-            )
+            ok_dl = covered(p.p_leader * h_sig_dl * sig_gain, h_pair_dl * jam_power[pair_jammer],
+                            pair_follower, p.beta_dl)
+            ok_ul = covered(p.p_follower * h_sig_ul * sig_gain, h_pair_ul * jam_power[pair_jammer],
+                            pair_follower, p.beta_ul)
+        ok = ok_dl & ok_ul
 
         successes = np.bincount(follower_trial, weights=ok, minlength=size)
         n_consensus += int(np.count_nonzero(2 * successes > m))
@@ -194,7 +190,7 @@ def simulate_consensus(config: TrialConfig) -> ConsensusOutcome:
     n = config.n_trials
     return ConsensusOutcome(
         p_consensus=n_consensus / n,
-        ci_halfwidth=_wald_halfwidth(n_consensus, n),
+        ci_halfwidth=_Z95 * _standard_error(n_consensus / n, n),
         n_trials=n,
         mean_followers=total_followers / n,
         mean_successes=total_successes / n,
@@ -222,9 +218,9 @@ class AuthSimResult:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.n_trials < 1:
             raise ValueError("n_trials must be positive")
-        for name in ("n_accepted", "n_wrong_index"):
+        for name in ("n_accepted", "n_wrong_index", "n_claimed_accepted"):
             v = getattr(self, name)
-            if not 0 <= v <= self.n_trials:
+            if v is not None and not 0 <= v <= self.n_trials:
                 raise ValueError(f"{name} = {v} outside [0, n_trials]")
 
     def _require(self, scenario: str, what: str) -> None:
@@ -286,44 +282,32 @@ def simulate_auth(
     if scenario == "legit" and eve_pathlosses is not None:
         raise ValueError("eve_pathlosses only applies to the 'eve' scenario")
 
-    gt = profile.ground_truth
     m = profile.m
-    eps = profile.epsilon
     fixed_eves = None
-    eve_pri = None
     if scenario == "eve" and eve_pathlosses is not None:
-        fixed_eves = np.atleast_1d(np.asarray(eve_pathlosses, dtype=float))
-        if fixed_eves.ndim != 1 or fixed_eves.size == 0 or not np.all(np.isfinite(fixed_eves)):
-            raise ValueError("eve_pathlosses must be a non-empty 1-D finite array")
-        from raftguard.auth import _validated_priors
-
-        eve_pri = _validated_priors(profile.eve_priors, fixed_eves.size, "eve_priors")
+        fixed_eves, eve_pri = profile.intruders(eve_pathlosses)
 
     n_accepted = 0
     n_wrong = 0
     n_claimed_accepted = 0
-    for index, size in enumerate(_chunk_sizes(n_trials)):
-        rng = _chunk_rng(master_seed, index)
+    for size, rng in _chunks(n_trials, master_seed):
         if scenario == "legit":
             ident = rng.choice(m, size=size, p=profile.follower_priors())
-            truth = gt[ident]
+            truth = profile.ground_truth[ident]
         elif fixed_eves is not None:
             ident = rng.choice(fixed_eves.size, size=size, p=eve_pri)
             truth = fixed_eves[ident]
         else:
-            ident = None
             truth = rng.uniform(profile.psi_min, profile.psi_max, size)
         z = truth + rng.normal(0.0, profile.sigma, size)
         claimed = rng.integers(0, m, size) if scenario == "eve" else None
 
-        dev = np.abs(z[:, None] - gt[None, :])
-        matched = np.argmin(dev, axis=1)
-        accepted = dev[np.arange(size), matched] < eps
-        n_accepted += int(np.count_nonzero(accepted))
+        matched = profile.nearest(z)
+        n_accepted += int(np.count_nonzero(profile.accepts(z, matched)))
         if scenario == "legit":
             n_wrong += int(np.count_nonzero(matched != ident))
         else:
-            n_claimed_accepted += int(np.count_nonzero(np.abs(z - gt[claimed]) < eps))
+            n_claimed_accepted += int(np.count_nonzero(profile.accepts(z, claimed)))
 
     return AuthSimResult(
         scenario=scenario,

@@ -6,12 +6,8 @@ import pytest
 from raftguard.auth import (
     DEFAULT_PSI_MAX,
     AuthProfile,
-    Hypothesis,
-    decide,
     error_probabilities,
-    ground_truth_from_deployment,
     lq_db_to_sigma,
-    ml_identify,
     p_fa_closed_form,
     p_md_closed_form,
     p_md_expected,
@@ -21,7 +17,7 @@ from raftguard.auth import (
     sigma_to_lq_db,
     threshold_for_pfa,
 )
-from raftguard.geometry import AnnulusRegion, Deployment, DiskRegion
+from raftguard.geometry import DiskRegion
 from raftguard.montecarlo import simulate_auth
 from raftguard.specfun import q_function
 
@@ -92,24 +88,30 @@ def test_zero_threshold_always_alarms():
 
 
 def test_decide_boundary_rejects():
-    assert decide(1.0, 1.0) is Hypothesis.H1
-    assert decide(0.999999, 1.0) is Hypothesis.H0
-    assert decide(0.0, 0.0) is Hypothesis.H1
+    prof = AuthProfile(ground_truth=np.array([10.0]), sigma=1.0, epsilon=1.0)
+    assert not prof.accepts(11.0, 0)
+    assert prof.accepts(10.999999, 0)
+    assert prof.accepts(np.array([9.5, 9.0, 10.0]), np.zeros(3, dtype=int)).tolist() == [
+        True, False, True]
+    zero = AuthProfile(ground_truth=np.array([10.0]), sigma=1.0, epsilon=0.0)
+    assert not zero.accepts(10.0, 0)
 
 
 def test_ml_identify_prefers_lowest_index_on_ties():
+    # maximum-likelihood identification is the nearest-fingerprint match
     prof = AuthProfile(ground_truth=np.array([10.0, 20.0]), sigma=1.0, epsilon=1.0)
-    ts, idx = ml_identify(15.0, prof)
-    assert ts == 5.0 and idx == 0
+    assert prof.nearest(15.0) == 0
+    dup = AuthProfile(ground_truth=np.array([10.0, 10.0, 20.0]), sigma=1.0, epsilon=1.0)
+    assert dup.nearest(np.array([10.0, 12.0, 19.0])).tolist() == [0, 0, 2]
 
 
 def test_ml_identify_finds_nearest():
     prof = shipped_profile(10.0)
     g = prof.ground_truth
     for i, val in enumerate(g):
-        ts, idx = ml_identify(float(val) + 0.01, prof)
-        assert idx == i
-        assert ts == pytest.approx(0.01, abs=1e-12)
+        assert prof.nearest(float(val) + 0.01) == i
+    assert prof.nearest(g + 0.01).tolist() == list(range(g.size))
+    assert prof.accepts(g + 0.01, np.arange(g.size)).all()
 
 
 # ---------------------------------------------------------------- profiles
@@ -128,17 +130,6 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         AuthProfile(ground_truth=np.array([1.0, 2.0]), sigma=1.0, epsilon=1.0,
                     priors=np.array([0.7, 0.7]))
-
-
-def test_ground_truth_from_deployment_hand_value():
-    dep = Deployment(
-        followers=np.array([[10.0, 0.0], [0.0, 100.0]]),
-        jammers=np.empty((0, 2)),
-        disk=DiskRegion(500.0),
-        annulus=AnnulusRegion(0.0, 300.0),
-    )
-    gt = ground_truth_from_deployment(dep, 3.0)
-    assert gt == pytest.approx([30.0, 60.0], abs=1e-12)
 
 
 def test_sample_fingerprints_deterministic():

@@ -1,16 +1,13 @@
-import math
-
 import numpy as np
 import pytest
 
 from raftguard.channel import (
     NetworkParams,
+    covered,
     db_to_linear,
     linear_to_db,
     pathloss_db,
     sample_fading,
-    sir_dl,
-    sir_ul,
 )
 from raftguard.geometry import AnnulusRegion, DiskRegion
 
@@ -83,31 +80,38 @@ def hand_params():
     return NetworkParams(beta_dl_db=-20.0, beta_ul_db=-20.0)
 
 
+def received(tx_power, distance, p):
+    # unit fading, so received power is just power times distance^-alpha
+    return tx_power * distance ** (-p.alpha)
+
+
 def test_sir_hand_value_downlink():
     # leader 1000 mW at 10 m, one jammer 10 mW at 20 m, all fading 1:
     # signal 1000/10^3 = 1, interference 10/20^3 = 1.25e-3, SIR = 800
     p = hand_params()
-    sir = sir_dl([10.0, 0.0], np.array([[20.0, 0.0]]), 1.0, np.array([1.0]), p)
-    assert sir == pytest.approx(800.0, rel=1e-12)
+    signal = np.array([received(p.p_leader, 10.0, p)])
+    jam = np.array([received(p.p_jammer, 20.0, p)])
+    assert covered(signal, jam, [0], 799.0)[0]
+    assert not covered(signal, jam, [0], 801.0)[0]
 
 
 def test_sir_hand_value_uplink():
     # follower transmits 100 mW: uplink SIR is one tenth of downlink
     p = hand_params()
-    sir = sir_ul([10.0, 0.0], np.array([[20.0, 0.0]]), 1.0, np.array([1.0]), p)
-    assert sir == pytest.approx(80.0, rel=1e-12)
+    signal = np.array([received(p.p_follower, 10.0, p)])
+    jam = np.array([received(p.p_jammer, 20.0, p)])
+    assert covered(signal, jam, [0], 79.9)[0]
+    assert not covered(signal, jam, [0], 80.1)[0]
 
 
 def test_sir_no_jammers_is_infinite():
+    # receiver 1 owns no interferer: its SIR is infinite and it is
+    # covered at any threshold, while receiver 0 is jammed out
     p = hand_params()
-    sir = sir_dl([50.0, 0.0], np.empty((0, 2)), 1.0, np.empty(0), p)
-    assert math.isinf(sir)
-
-
-def test_sir_rejects_zero_link_distance():
-    p = hand_params()
-    with pytest.raises(ValueError):
-        sir_dl([0.0, 0.0], np.empty((0, 2)), 1.0, np.empty(0), p)
+    signal = np.array([received(p.p_leader, 10.0, p), received(p.p_leader, 400.0, p)])
+    jam = np.array([received(p.p_jammer, 20.0, p)])
+    assert covered(signal, jam, np.array([0]), 1e9).tolist() == [False, True]
+    assert covered(signal, np.empty(0), np.empty(0, dtype=int), 1e9).tolist() == [True, True]
 
 
 def test_params_carry_regions():

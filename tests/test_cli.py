@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -177,6 +178,13 @@ def test_unknown_keys_rejected(tmp_path, capsys):
     assert "alpa" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario", ["coverage_vs_nothing", ["roc"]])
+def test_unknown_scenario_rejected(tmp_path, capsys, scenario):
+    cfg = base_config(tmp_path, scenario=scenario)
+    assert cli.main(["--config", write_config(tmp_path, cfg), "--validate-only"]) == 2
+    assert "unknown scenario" in capsys.readouterr().err
+
+
 def test_sweep_variable_must_match_scenario(tmp_path, capsys):
     cfg = base_config(tmp_path, scenario="coverage_vs_jam_area")
     assert cli.main(["--config", write_config(tmp_path, cfg), "--validate-only"]) == 2
@@ -215,15 +223,33 @@ def test_diagnostics_enumerate_all_problems(tmp_path, capsys):
 # ---------------------------------------------------------- failure paths
 
 
+def patch_row(monkeypatch, scenario, row):
+    monkeypatch.setitem(cli.SCENARIOS, scenario, replace(cli.SCENARIOS[scenario], row=row))
+
+
 def test_numeric_failure_exits_three(tmp_path, capsys, monkeypatch):
     def boom(config, index, value):
-        raise FloatingPointError("synthetic blowup")
+        if index == 2:
+            raise FloatingPointError("synthetic blowup")
+        return {}
 
-    monkeypatch.setitem(cli._ROW_BUILDERS, "coverage_vs_beta", boom)
+    patch_row(monkeypatch, "coverage_vs_beta", boom)
     path = write_config(tmp_path, base_config(tmp_path))
     assert cli.main(["--config", path]) == 3
     err = capsys.readouterr().err
-    assert "numeric failure" in err and "beta_db" in err
+    assert "numeric failure" in err and "synthetic blowup" in err
+    assert "at point 2 (beta_db = -10.0, master seed 7)" in err
+
+
+def test_programming_error_is_not_a_numeric_failure(tmp_path, capsys, monkeypatch):
+    def broken(config, index, value):
+        raise TypeError("synthetic bug")
+
+    patch_row(monkeypatch, "coverage_vs_beta", broken)
+    path = write_config(tmp_path, base_config(tmp_path))
+    with pytest.raises(TypeError, match="synthetic bug"):
+        cli.main(["--config", path])
+    assert "numeric failure" not in capsys.readouterr().err
 
 
 def test_worker_count_is_clamped(monkeypatch):

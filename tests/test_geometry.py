@@ -6,13 +6,11 @@ from scipy import integrate, stats
 
 from raftguard.geometry import (
     AnnulusRegion,
-    Deployment,
     DiskRegion,
     annulus_radii,
     disk_radii,
     distance_pdf,
     link_distances,
-    sample_ppp,
     uniform_disk_points,
 )
 
@@ -101,28 +99,7 @@ def test_distance_pdf_rejects_negative_distance():
         distance_pdf(-1.0, RHO)
 
 
-# --------------------------------------------------------------------- PPP
-
-
-def test_ppp_count_mean():
-    rng = np.random.default_rng(11)
-    region = DiskRegion(500.0)
-    counts = [sample_ppp(RHO, region, rng).shape[0] for _ in range(2000)]
-    # mean count is intensity * area = 15
-    assert np.mean(counts) == pytest.approx(15.0, abs=0.3)
-
-
-def test_ppp_points_inside_annulus():
-    rng = np.random.default_rng(12)
-    region = AnnulusRegion(100.0, 300.0)
-    pts = sample_ppp(50.0 / region.area, region, rng)
-    d = np.hypot(pts[:, 0], pts[:, 1])
-    assert np.all(d >= 100.0) and np.all(d <= 300.0)
-
-
-def test_ppp_rejects_unknown_region():
-    with pytest.raises(TypeError):
-        sample_ppp(RHO, object(), np.random.default_rng(0))
+# ------------------------------------------------------------ disk points
 
 
 def test_uniform_disk_points_shape_and_radius():
@@ -130,25 +107,3 @@ def test_uniform_disk_points_shape_and_radius():
     pts = uniform_disk_points(250, DiskRegion(100.0), rng)
     assert pts.shape == (250, 2)
     assert np.hypot(pts[:, 0], pts[:, 1]).max() <= 100.0
-
-
-# -------------------------------------------------------------- deployment
-
-
-def test_deployment_sample_containment():
-    rng = np.random.default_rng(21)
-    dep = Deployment.sample(RHO, RHO, DiskRegion(500.0), AnnulusRegion(0.0, 300.0), rng)
-    assert np.all(dep.leader == 0.0)
-    assert np.all(np.hypot(dep.followers[:, 0], dep.followers[:, 1]) <= 500.0 + 1e-9)
-    dj = np.hypot(dep.jammers[:, 0], dep.jammers[:, 1])
-    assert np.all(dj <= 300.0 + 1e-9)
-
-
-def test_deployment_rejects_escaped_followers():
-    with pytest.raises(ValueError):
-        Deployment(
-            followers=np.array([[600.0, 0.0]]),
-            jammers=np.empty((0, 2)),
-            disk=DiskRegion(500.0),
-            annulus=AnnulusRegion(0.0, 300.0),
-        )

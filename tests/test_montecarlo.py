@@ -155,6 +155,9 @@ def test_auth_result_count_bounds():
     with pytest.raises(ValueError):
         AuthSimResult(scenario="legit", n_trials=10, n_accepted=11,
                       n_wrong_index=0)
+    with pytest.raises(ValueError):
+        AuthSimResult(scenario="eve", n_trials=10, n_accepted=0,
+                      n_wrong_index=0, n_claimed_accepted=11)
 
 
 def test_auth_fixed_eves_respect_priors():
