@@ -36,7 +36,7 @@ from raftguard.montecarlo import (
     simulate_auth,
     simulate_consensus,
 )
-from raftguard.specfun import ConvergenceError, Tolerance, hyp2f1, q_function, q_inverse
+from raftguard.specfun import q_function, q_inverse
 
 __version__ = "0.1.0"
 
@@ -44,20 +44,17 @@ __all__ = [
     "AnnulusRegion",
     "AuthProfile",
     "ConsensusOutcome",
-    "ConvergenceError",
     "CoverageMethod",
     "CoverageResult",
     "DiskRegion",
     "ErrorProbabilities",
     "NetworkParams",
-    "Tolerance",
     "TrialConfig",
     "coverage_dl",
     "coverage_joint",
     "coverage_ul",
     "error_probabilities",
     "estimate_coverage",
-    "hyp2f1",
     "laplace_interference",
     "lq_db_to_sigma",
     "p_fa_closed_form",

@@ -35,7 +35,6 @@ from raftguard.channel import NetworkParams
 from raftguard.coverage import coverage_joint
 from raftguard.geometry import AnnulusRegion, DiskRegion
 from raftguard.montecarlo import TrialConfig, estimate_coverage, simulate_auth
-from raftguard.specfun import ConvergenceError
 
 __all__ = [
     "ExperimentConfig", "SweepSpec", "AuthSettings", "ConfigError", "PointFailure", "main",
@@ -458,7 +457,7 @@ def columns_for(scenario: str) -> list[str]:
 def _evaluate_point(config: ExperimentConfig, index: int, value: float) -> dict:
     try:
         return SCENARIOS[config.scenario].row(config, index, value)
-    except (ArithmeticError, ValueError, ConvergenceError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         raise PointFailure(index, value, f"{type(exc).__name__}: {exc}") from exc
 
 

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from scipy import integrate
+from scipy.special import hyp2f1
 
 from raftguard.channel import NetworkParams
 from raftguard.geometry import AnnulusRegion
-from raftguard.specfun import hyp2f1
 
 __all__ = [
     "CoverageMethod",

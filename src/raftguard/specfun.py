@@ -1,56 +1,23 @@
-"""Scalar special functions used by the closed-form expressions.
+"""The Gaussian tail probability and its inverse, used by the
+authentication closed forms.
 
-Everything here is self-contained (math stdlib only) so that the rest
-of the package can treat these as exact primitives.  The test suite
-validates each routine against an independent oracle: numerical
-integration of the Gaussian tail for ``q_function``/``q_inverse``, and
-direct power-series summation for ``hyp2f1``.
+The test suite validates both against an independent oracle:
+numerical integration of the Gaussian tail.  The Gauss hypergeometric
+function of the coverage closed form is ``scipy.special.hyp2f1``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from scipy.special import ndtri
 
 __all__ = [
-    "Tolerance",
-    "ConvergenceError",
     "q_function",
     "q_inverse",
-    "hyp2f1",
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-# The Pfaff-transformed series at w = z/(z-1) needs O(|z|) terms as
-# z -> -inf, so beyond this point the 1/z inversion formula is used.
-_INVERSION_CUTOFF = -40.0
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Series truncation control for ``hyp2f1``."""
-
-    abs_tol: float = 1e-12
-    max_terms: int = 10000
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-class ConvergenceError(RuntimeError):
-    """A series failed to reach tolerance within the term budget."""
-
-    def __init__(self, message: str, partial_value: float, terms_used: int):
-        super().__init__(
-            f"{message} (partial value {partial_value!r} after {terms_used} terms)"
-        )
-        self.partial_value = partial_value
-        self.terms_used = terms_used
 
 
 def q_function(x: float) -> float:
@@ -64,135 +31,9 @@ def q_function(x: float) -> float:
     return 0.5 * math.erfc(x / _SQRT2)
 
 
-# Acklam's rational approximation to the standard normal quantile,
-# |relative error| < 1.15e-9; used only as the Newton starting point.
-_PPF_A = (
-    -3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-    1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00,
-)
-_PPF_B = (
-    -5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-    6.680131188771972e+01, -1.328068155288572e+01,
-)
-_PPF_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-    -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00,
-)
-_PPF_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-    3.754408661907416e+00,
-)
-
-_PPF_SPLIT = 0.02425
-
-
-def _normal_ppf(p: float) -> float:
-    if p < _PPF_SPLIT:
-        q = math.sqrt(-2.0 * math.log(p))
-        num = ((((_PPF_C[0] * q + _PPF_C[1]) * q + _PPF_C[2]) * q + _PPF_C[3]) * q + _PPF_C[4]) * q + _PPF_C[5]
-        den = (((_PPF_D[0] * q + _PPF_D[1]) * q + _PPF_D[2]) * q + _PPF_D[3]) * q + 1.0
-        return num / den
-    if p <= 1.0 - _PPF_SPLIT:
-        q = p - 0.5
-        r = q * q
-        num = ((((_PPF_A[0] * r + _PPF_A[1]) * r + _PPF_A[2]) * r + _PPF_A[3]) * r + _PPF_A[4]) * r + _PPF_A[5]
-        den = ((((_PPF_B[0] * r + _PPF_B[1]) * r + _PPF_B[2]) * r + _PPF_B[3]) * r + _PPF_B[4]) * r + 1.0
-        return q * num / den
-    q = math.sqrt(-2.0 * math.log1p(-p))
-    num = ((((_PPF_C[0] * q + _PPF_C[1]) * q + _PPF_C[2]) * q + _PPF_C[3]) * q + _PPF_C[4]) * q + _PPF_C[5]
-    den = (((_PPF_D[0] * q + _PPF_D[1]) * q + _PPF_D[2]) * q + _PPF_D[3]) * q + 1.0
-    return -num / den
-
-
 def q_inverse(p: float) -> float:
-    """Inverse of ``q_function``: the x with Q(x) = p, for 0 < p < 1.
-
-    Rational initial guess refined by Newton steps on the tail
-    probability itself, so the round trip through ``q_function`` is
-    exact to near machine precision.
-    """
+    """Inverse of ``q_function``: the x with Q(x) = p, for 0 < p < 1."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"q_inverse requires 0 < p < 1, got {p}")
-    if p == 0.5:
-        return 0.0
-    x = -_normal_ppf(p)
-    for _ in range(3):
-        pdf = _INV_SQRT_2PI * math.exp(-0.5 * x * x)
-        if pdf <= 0.0:
-            break
-        x += (q_function(x) - p) / pdf
-    return x
-
-
-def _is_integer(v: float, tol: float = 1e-9) -> bool:
-    return abs(v - round(v)) < tol
-
-
-def _reject_nonpositive_integer(v: float, name: str) -> None:
-    if v < 0.5 and _is_integer(v) and round(v) <= 0:
-        raise ValueError(f"hyp2f1 parameter {name} = {v} is a non-positive integer")
-
-
-def _series(a: float, b: float, c: float, w: float, tol: Tolerance) -> float:
-    """Direct Gauss series at argument w, |w| < 1."""
-    term = 1.0
-    total = 1.0
-    # ratio of consecutive terms tends to w, so the tail after a term t
-    # is ~ t*|w|/(1-|w|); folding 1/(1-|w|) into the threshold keeps the
-    # truncation error below abs_tol
-    threshold = tol.abs_tol * (1.0 - abs(w))
-    for n in range(tol.max_terms):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * w
-        total += term
-        if abs(term) <= threshold:
-            return total
-    raise ConvergenceError(
-        f"2F1 series did not converge at argument {w!r}", total, tol.max_terms
-    )
-
-
-def _pfaff(a: float, b: float, c: float, z: float, tol: Tolerance) -> float:
-    # 2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)); for z < 0 the
-    # transformed argument lies in (0, 1)
-    return (1.0 - z) ** (-a) * _series(a, c - b, c, z / (z - 1.0), tol)
-
-
-def _inversion(a: float, b: float, c: float, z: float, tol: Tolerance) -> float:
-    # large-|z| expansion around 1/z; requires a - b non-integer, else
-    # fall back to Pfaff and accept the longer series
-    if _is_integer(a - b):
-        return _pfaff(a, b, c, z, tol)
-    _reject_nonpositive_integer(a - b + 1.0, "a-b+1")
-    _reject_nonpositive_integer(b - a + 1.0, "b-a+1")
-    g = math.gamma
-    coeff_a = g(c) * g(b - a) / (g(b) * g(c - a))
-    coeff_b = g(c) * g(a - b) / (g(a) * g(c - b))
-    inv = 1.0 / z
-    term_a = coeff_a * (-z) ** (-a) * _series(a, a - c + 1.0, a - b + 1.0, inv, tol)
-    term_b = coeff_b * (-z) ** (-b) * _series(b, b - c + 1.0, b - a + 1.0, inv, tol)
-    return term_a + term_b
-
-
-def hyp2f1(a: float, b: float, c: float, z: float, tol: Tolerance | None = None) -> float:
-    """Gauss hypergeometric function 2F1(a, b; c; z) for real z <= 0.
-
-    The argument is always mapped into a fast-converging series first:
-    the Pfaff transform sends z < 0 to z/(z-1) in (0, 1), and for very
-    negative z the 1/z inversion formula is used instead, because the
-    Pfaff series would need O(|z|) terms there.  Only the non-positive
-    real axis is supported; that is the regime the interference
-    expressions produce (their argument is -gamma*beta*(r/z_edge)^alpha).
-    """
-    if tol is None:
-        tol = Tolerance()
-    for name, v in (("a", a), ("b", b), ("c", c), ("z", z)):
-        if not math.isfinite(v):
-            raise ValueError(f"hyp2f1 requires finite {name}, got {v}")
-    if z > 0.0:
-        raise ValueError(f"hyp2f1 is restricted to z <= 0, got {z}")
-    _reject_nonpositive_integer(c, "c")
-    if a == 0.0 or b == 0.0 or z == 0.0:
-        return 1.0
-    if z >= _INVERSION_CUTOFF:
-        return _pfaff(a, b, c, z, tol)
-    return _inversion(a, b, c, z, tol)
+    # -ndtri(0.5) is -0.0; adding +0.0 makes it +0.0 and changes nothing else
+    return float(-ndtri(p)) + 0.0

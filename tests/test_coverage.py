@@ -98,6 +98,25 @@ def test_closed_form_matches_quadrature_at_zero_inner_radius():
     assert worst <= 1e-8
 
 
+# alpha -> 2 edge, which ORACLE_GRID (alpha >= 2.5) does not reach:
+# (alpha, beta_db, gamma, annulus, r, L) with L the Laplace transform
+# at jammer intensity RHO_J from 40-digit quadrature of the defining
+# radial integral (mpmath).
+NEAR_TWO_REFERENCES = [
+    (2.01, 0.0, 0.1, (0.0, 300.0), 100.0, 0.76299291110075769),
+    (2.01, 0.0, 0.1, (10.0, 60.0), 100.0, 0.91734713727751957),
+    (2.05, 10.0, 0.01, (0.0, 300.0), 400.0, 0.15639843120063509),
+    (2.01, -30.0, 0.01, (1.0, 1000.0), 10.0, 0.99999918045763443),
+]
+
+
+@pytest.mark.parametrize("alpha, beta_db, gamma, band, r, expected", NEAR_TWO_REFERENCES,
+                         ids=["disk", "band", "alpha2.05", "wide_band"])
+def test_closed_form_near_alpha_two(alpha, beta_db, gamma, band, r, expected):
+    val = laplace_interference(r, db_to_linear(beta_db), gamma, RHO_J, alpha, AnnulusRegion(*band))
+    assert val == pytest.approx(expected, abs=1e-13)
+
+
 @pytest.mark.parametrize("call", [
     lambda: laplace_interference(100.0, 0.0, 0.01, RHO_J, 3.0, ANNULUS, method="bogus"),
     lambda: laplace_interference(100.0, 0.01, 0.01, 0.0, 3.0, ANNULUS, method="bogus"),

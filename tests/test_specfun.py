@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from raftguard.specfun import ConvergenceError, Tolerance, hyp2f1, q_function, q_inverse
+from raftguard.coverage import hyp2f1
+from raftguard.specfun import q_function, q_inverse
 
 
 def gaussian_tail(x):
@@ -76,6 +77,8 @@ def test_q_rejects_nonfinite(bad):
 
 def test_q_inverse_at_half_is_exactly_zero():
     assert q_inverse(0.5) == 0.0
+    # +0.0, not -0.0, which would print as "-0"
+    assert math.copysign(1.0, q_inverse(0.5)) == 1.0
 
 
 def test_q_inverse_decile():
@@ -130,9 +133,8 @@ def test_2f1_production_matches_direct_series(alpha):
 
 @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
 def test_2f1_branches_consistent_at_large_argument(alpha):
-    # Pfaff side vs inversion side, checked against each other across
-    # the internal switch point by evaluating both against a midpoint
-    # Richardson-style comparison: values must vary smoothly
+    # values either side of z = -40, well inside the range the closed
+    # form's arguments cover, must vary smoothly and keep decreasing
     b = 1.0 - 2.0 / alpha
     c = 2.0 - 2.0 / alpha
     lo = hyp2f1(1.0, b, c, -39.99)
@@ -145,28 +147,3 @@ def test_2f1_tends_to_one_from_the_left():
     vals = [hyp2f1(1.0, 1.0 / 3.0, 4.0 / 3.0, z) for z in (-1e-2, -1e-4, -1e-6, -1e-8)]
     assert all(v < 1.0 for v in vals)
     assert abs(vals[-1] - 1.0) < 1e-7
-
-
-def test_2f1_rejects_positive_argument():
-    with pytest.raises(ValueError):
-        hyp2f1(1.0, 0.25, 1.5, 0.5)
-
-
-@pytest.mark.parametrize("c", [0.0, -1.0, -3.0])
-def test_2f1_rejects_nonpositive_integer_c(c):
-    with pytest.raises(ValueError):
-        hyp2f1(1.0, 0.25, c, -0.5)
-
-
-def test_2f1_convergence_error_carries_diagnostics():
-    with pytest.raises(ConvergenceError) as info:
-        hyp2f1(1.0, 1.0 / 3.0, 4.0 / 3.0, -0.9, tol=Tolerance(abs_tol=1e-12, max_terms=3))
-    assert info.value.terms_used == 3
-    assert math.isfinite(info.value.partial_value)
-
-
-def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        Tolerance(max_terms=0)
