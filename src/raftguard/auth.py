@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,9 +82,11 @@ class AuthProfile:
     eve_priors: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        gt = np.asarray(self.ground_truth, dtype=float)
+        gt = np.array(self.ground_truth, dtype=float)
         if gt.ndim != 1 or gt.size == 0 or not np.all(np.isfinite(gt)):
             raise ValueError("ground_truth must be a non-empty 1-D finite array")
+        # a read-only copy, so the sorted view cached for matching cannot go stale
+        gt.flags.writeable = False
         object.__setattr__(self, "ground_truth", gt)
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError(f"sigma must be positive, got {self.sigma}")
@@ -115,11 +118,33 @@ class AuthProfile:
             raise ValueError("eve_pathlosses must be a non-empty 1-D finite array")
         return psi_e, _validated_priors(self.eve_priors, psi_e.size, "eve_priors")
 
+    @cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # stable order, sorted fingerprints, and for each sorted position
+        # the first position holding the same value, which the stable
+        # order gives the lowest index among duplicates
+        order = np.argsort(self.ground_truth, kind="stable")
+        srt = self.ground_truth[order]
+        return order, srt, np.searchsorted(srt, srt)
+
     def nearest(self, z):
         """Maximum-likelihood identification: index of the fingerprint
-        nearest each measurement in ``z``, the lowest index on ties."""
+        nearest each measurement in ``z``, the lowest index on ties.
+
+        Only the sorted neighbours on either side of each measurement
+        are compared, so memory is linear in the measurement and
+        fingerprint counts.
+        """
         z = np.asarray(z, dtype=float)
-        return np.argmin(np.abs(z[..., None] - self.ground_truth), axis=-1)
+        order, srt, first = self._sorted
+        above = np.searchsorted(srt, z)
+        lo = first[np.maximum(above - 1, 0)]
+        hi = first[np.minimum(above, srt.size - 1)]
+        d_lo = np.abs(z - srt[lo])
+        d_hi = np.abs(z - srt[hi])
+        i_lo, i_hi = order[lo], order[hi]
+        tie = np.minimum(i_lo, i_hi)
+        return np.where(d_lo < d_hi, i_lo, np.where(d_hi < d_lo, i_hi, tie))[()]
 
     def accepts(self, z, index):
         """Threshold test against fingerprint ``index``: accept (H0) iff
@@ -191,13 +216,12 @@ def _clip_probability(value: float, what: str) -> float:
     return float(min(1.0, max(0.0, value)))
 
 
-def _window_sum(profile: AuthProfile, psi: float, epsilon: float) -> float:
-    # sum over fingerprints of P(psi + noise lands within epsilon of Psi_i)
-    s = 0.0
-    for g in profile.ground_truth:
-        d = g - psi
-        s += q_function((d - epsilon) / profile.sigma) - q_function((d + epsilon) / profile.sigma)
-    return s
+def _window_sum(profile: AuthProfile, psi: np.ndarray, epsilon: float) -> np.ndarray:
+    # for each psi_j, the sum over fingerprints of
+    # P(psi_j + noise lands within epsilon of Psi_i)
+    d = profile.ground_truth - psi[:, None]
+    q = q_function(np.stack((d - epsilon, d + epsilon)) / profile.sigma)
+    return (q[0] - q[1]).sum(axis=-1)
 
 
 def p_md_closed_form(profile: AuthProfile, eve_pathlosses) -> float:
@@ -210,34 +234,32 @@ def p_md_closed_form(profile: AuthProfile, eve_pathlosses) -> float:
     diagnostic if the window sum overruns.
     """
     psi_e, pi_j = profile.intruders(eve_pathlosses)
-    total = 0.0
-    for j, psi in enumerate(psi_e):
-        total += pi_j[j] * _window_sum(profile, float(psi), profile.epsilon)
+    total = pi_j @ _window_sum(profile, psi_e, profile.epsilon)
     return _clip_probability(total / profile.m, "p_md_closed_form")
 
 
-def _q_antiderivative(u: float) -> float:
+def _q_antiderivative(u: np.ndarray) -> np.ndarray:
     # d/du [u*Q(u) - phi(u)] = Q(u); the u*Q(u) product underflows
     # harmlessly for large positive u
-    return u * q_function(u) - math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    return u * q_function(u) - np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
 
 
-def _window_mass(profile: AuthProfile, epsilon: float) -> float:
+def _window_mass(profile: AuthProfile, epsilon) -> np.ndarray:
     """Integral over the prior support of the summed acceptance
-    windows, taken in closed form through the antiderivative of Q (an
-    adaptive rule would step over windows narrow relative to the
-    support)."""
+    windows, one per threshold in ``epsilon``, taken in closed form
+    through the antiderivative of Q (an adaptive rule would step over
+    windows narrow relative to the support)."""
     lo, hi = profile.psi_min, profile.psi_max
     sigma = profile.sigma
-    total = 0.0
-    for g in profile.ground_truth:
-        total += sigma * (
-            _q_antiderivative((g - epsilon - lo) / sigma)
-            - _q_antiderivative((g - epsilon - hi) / sigma)
-            - _q_antiderivative((g + epsilon - lo) / sigma)
-            + _q_antiderivative((g + epsilon - hi) / sigma)
-        )
-    return total
+    g = profile.ground_truth
+    eps = np.asarray(epsilon, dtype=float)[..., None]
+    a = _q_antiderivative(np.stack((
+        (g - eps - lo) / sigma,
+        (g - eps - hi) / sigma,
+        (g + eps - lo) / sigma,
+        (g + eps - hi) / sigma,
+    )))
+    return (sigma * (a[0] - a[1] - a[2] + a[3])).sum(axis=-1)
 
 
 def p_md_expected(profile: AuthProfile) -> float:
@@ -258,16 +280,13 @@ def p_mc_closed_form(profile: AuthProfile) -> float:
     cell.  Cells are bounded by midpoints between sorted fingerprints,
     closed at the ends by the prior support bounds; independent of
     epsilon."""
-    order = np.argsort(profile.ground_truth, kind="stable")
-    srt = profile.ground_truth[order]
+    order, srt, _ = profile._sorted
     pri = profile.follower_priors()[order]
     mids = 0.5 * (srt[1:] + srt[:-1])
     lower = np.concatenate(([profile.psi_min], mids))
     upper = np.concatenate((mids, [profile.psi_max]))
-    total = 0.0
-    for g, lo, hi, w in zip(srt, lower, upper, pri):
-        inside = q_function((lo - g) / profile.sigma) - q_function((hi - g) / profile.sigma)
-        total += w * (1.0 - inside)
+    q = q_function(np.stack((lower - srt, upper - srt)) / profile.sigma)
+    total = pri @ (1.0 - (q[0] - q[1]))
     return _clip_probability(total, "p_mc_closed_form")
 
 
@@ -289,14 +308,12 @@ def roc_curve(profile: AuthProfile, p_fa_grid) -> list[tuple[float, float, float
         raise ValueError("false-alarm targets must lie in (0, 1)")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("false-alarm targets must be strictly increasing")
+    eps = [threshold_for_pfa(target, profile.sigma) for target in grid]
+    mass = _window_mass(profile, eps) / (profile.m * profile.delta)
     out = []
-    for target in grid:
-        eps = threshold_for_pfa(target, profile.sigma)
-        miss = _clip_probability(
-            _window_mass(profile, eps) / (profile.m * profile.delta),
-            "roc missed-detection",
-        )
-        out.append((target, eps, 1.0 - miss))
+    for target, e, w in zip(grid, eps, mass):
+        miss = _clip_probability(w, "roc missed-detection")
+        out.append((target, e, 1.0 - miss))
     return out
 
 

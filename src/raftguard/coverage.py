@@ -97,8 +97,10 @@ class CoverageResult:
 def _u_kernel(z_lo: float, z_hi: float, m: float) -> float:
     """integral of du / (1 + u^m) over [z_lo, z_hi], m > 1.
 
-    For very large upper limits the tail is mapped through v = 1/u onto
-    a finite interval so the adaptive rule keeps its accuracy.
+    For very large upper limits the tail is mapped through
+    w = u^(1-m) onto a finite interval; the integrand there,
+    1 / ((m-1)(1 + w^(m/(m-1)))), stays bounded and smooth at w = 0 for
+    every m > 1, so the adaptive rule keeps its accuracy as alpha -> 2.
     """
     if z_hi <= z_lo:
         return 0.0
@@ -113,8 +115,9 @@ def _u_kernel(z_lo: float, z_hi: float, m: float) -> float:
         lambda u: 1.0 / (1.0 + u**m), z_lo, split,
         epsabs=1e-12, epsrel=1e-12, limit=200,
     )
+    k = m - 1.0
     tail, _ = integrate.quad(
-        lambda v: v ** (m - 2.0) / (1.0 + v**m), 1.0 / z_hi, 1.0 / split,
+        lambda w: 1.0 / (k * (1.0 + w ** (m / k))), (1.0 / z_hi) ** k, (1.0 / split) ** k,
         epsabs=1e-12, epsrel=1e-12, limit=200,
     )
     return head + tail

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import ndtri
+import numpy as np
+from scipy.special import erfc, ndtri
 
 __all__ = [
     "q_function",
@@ -20,15 +21,21 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-def q_function(x: float) -> float:
-    """Gaussian tail probability Q(x) = P(N(0,1) > x).
+def q_function(x):
+    """Gaussian tail probability Q(x) = P(N(0,1) > x), elementwise.
 
-    Computed as erfc(x/sqrt(2))/2, accurate to double precision over
-    the whole real line; underflows to 0 beyond x ~ 38.
+    Computed as erfc(x/sqrt(2))/2; underflows to 0 beyond x ~ 38.  The
+    relative error is a few ulp for |x| < 10 and grows in the far tail
+    (about 1e-13 at x = 25, 5e-12 near x = 38).  Returns a
+    ``float`` for scalar input and an array otherwise; raises
+    ``ValueError`` if any element is not finite.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"q_function requires finite x, got {x}")
-    return 0.5 * math.erfc(x / _SQRT2)
+    x = np.asarray(x, dtype=float)
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise ValueError(f"q_function requires finite x, got {x[~finite][0]}")
+    q = 0.5 * erfc(x / _SQRT2)
+    return float(q) if q.ndim == 0 else q
 
 
 def q_inverse(p: float) -> float:

@@ -114,6 +114,41 @@ def test_ml_identify_finds_nearest():
     assert prof.accepts(g + 0.01, np.arange(g.size)).all()
 
 
+def _argmin_nearest(gt, z):
+    # brute force over the full measurement-by-fingerprint deviation matrix
+    return np.argmin(np.abs(np.asarray(z, dtype=float)[..., None] - gt), axis=-1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 64, 1000])
+def test_nearest_matches_brute_force_argmin(m):
+    rng = np.random.default_rng(m)
+    for trial in range(10):
+        if trial % 2:
+            # continuous fingerprints, as sampled for a deployment
+            gt, _ = sample_fingerprints(m, 0, DiskRegion(500.0), 3.0, rng)
+        else:
+            # a quarter-dB grid: duplicates are common and midpoints exact
+            gt = 10.0 + 0.25 * rng.integers(0, 2 * m + 2, m)
+        prof = AuthProfile(ground_truth=gt, sigma=1.0, epsilon=1.0)
+        vals = np.unique(gt)
+        z = np.concatenate((
+            gt,
+            0.5 * (vals[1:] + vals[:-1]),
+            rng.uniform(gt.min() - 20.0, gt.max() + 20.0, 400),
+            [gt.min() - 100.0, gt.max() + 100.0, -1e-300, 0.0],
+        ))
+        assert np.array_equal(prof.nearest(z), _argmin_nearest(gt, z))
+        grid = z[: 2 * (z.size // 2)].reshape(2, -1)
+        assert np.array_equal(prof.nearest(grid), _argmin_nearest(gt, grid))
+        for v in z[::23]:
+            expect = _argmin_nearest(gt, v)
+            for arg in (float(v), np.float64(v), np.array(v)):
+                got = prof.nearest(arg)
+                assert np.ndim(got) == 0 and isinstance(got, np.integer)
+                assert got == expect
+            assert prof.nearest(np.array([v])).tolist() == [expect]
+
+
 # ---------------------------------------------------------------- profiles
 
 
@@ -130,6 +165,15 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         AuthProfile(ground_truth=np.array([1.0, 2.0]), sigma=1.0, epsilon=1.0,
                     priors=np.array([0.7, 0.7]))
+
+
+def test_profile_fingerprints_are_a_read_only_copy():
+    gt = np.array([10.0, 20.0])
+    prof = AuthProfile(ground_truth=gt, sigma=1.0, epsilon=1.0)
+    gt[0] = 30.0
+    assert prof.nearest(29.0) == 1
+    with pytest.raises(ValueError):
+        prof.ground_truth[0] = 30.0
 
 
 def test_sample_fingerprints_deterministic():
@@ -252,6 +296,88 @@ def test_roc_grid_validation():
         roc_curve(prof, [0.0, 0.5])
     with pytest.raises(ValueError):
         roc_curve(prof, [0.5, 0.2])
+
+
+# ------------------------------------- closed forms vs scalar-loop references
+
+
+def _ref_clip(value):
+    return min(1.0, max(0.0, value))
+
+
+def _ref_p_md(prof, eve):
+    _, pri = prof.intruders(eve)
+    total = 0.0
+    for psi, w in zip(eve, pri):
+        s = 0.0
+        for g in prof.ground_truth:
+            d = g - psi
+            s += (q_function((d - prof.epsilon) / prof.sigma)
+                  - q_function((d + prof.epsilon) / prof.sigma))
+        total += w * s
+    return _ref_clip(total / prof.m)
+
+
+def _ref_window_mass(prof, eps):
+    def anti(u):
+        return u * q_function(u) - math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+
+    lo, hi, sigma = prof.psi_min, prof.psi_max, prof.sigma
+    total = 0.0
+    for g in prof.ground_truth:
+        total += sigma * (anti((g - eps - lo) / sigma) - anti((g - eps - hi) / sigma)
+                          - anti((g + eps - lo) / sigma) + anti((g + eps - hi) / sigma))
+    return total
+
+
+def _ref_p_mc(prof):
+    srt = sorted(prof.ground_truth)
+    bounds = [prof.psi_min] + [0.5 * (a + b) for a, b in zip(srt, srt[1:])] + [prof.psi_max]
+    total = 0.0
+    for g, lo, hi in zip(srt, bounds, bounds[1:]):
+        inside = q_function((lo - g) / prof.sigma) - q_function((hi - g) / prof.sigma)
+        total += (1.0 - inside) / prof.m
+    return _ref_clip(total)
+
+
+def _closed_form_cases():
+    gt5, eve5 = shipped_realization()
+    gt1000, eve1000 = sample_fingerprints(1000, 20, DiskRegion(500.0), 3.0,
+                                          np.random.default_rng(PROFILE_SEED))
+    # thresholds small enough at m = 1000 that the summed windows stay
+    # inside the support and p_md_expected is not clipped
+    for gt, eve, epsilons in ((gt5, eve5, (1.0, 5.0)), (gt1000, eve1000, (0.005, 0.03))):
+        for lq in (0.0, 10.0, 30.0):
+            for eps in epsilons:
+                prof = AuthProfile(ground_truth=gt, sigma=lq_db_to_sigma(lq), epsilon=eps)
+                yield prof, eve
+
+
+CLOSED_FORM_CASES = list(_closed_form_cases())
+
+
+@pytest.mark.parametrize("prof, eve", CLOSED_FORM_CASES,
+                         ids=[f"m{p.m}-sigma{p.sigma:.3g}-eps{p.epsilon:.3g}"
+                              for p, _ in CLOSED_FORM_CASES])
+def test_array_closed_forms_match_scalar_loops(prof, eve):
+    assert p_md_closed_form(prof, eve) == pytest.approx(_ref_p_md(prof, eve), rel=1e-13)
+    assert p_mc_closed_form(prof) == pytest.approx(_ref_p_mc(prof), rel=1e-13)
+    assert p_md_expected(prof) == pytest.approx(
+        _ref_clip(_ref_window_mass(prof, prof.epsilon) / prof.delta), rel=1e-13)
+
+
+@pytest.mark.parametrize("m", [5, 1000])
+def test_roc_matches_scalar_loop(m):
+    gt, _ = sample_fingerprints(m, 0, DiskRegion(500.0), 3.0, np.random.default_rng(PROFILE_SEED))
+    grid = [0.02, 0.1, 0.3, 0.7, 0.98]
+    for lq in (0.0, 10.0, 30.0):
+        prof = AuthProfile(ground_truth=gt, sigma=lq_db_to_sigma(lq), epsilon=1.0)
+        pts = roc_curve(prof, grid)
+        assert [p for p, _, _ in pts] == grid
+        for target, (_, eps, p_d) in zip(grid, pts):
+            assert eps == threshold_for_pfa(target, prof.sigma)
+            miss = _ref_clip(_ref_window_mass(prof, eps) / (prof.m * prof.delta))
+            assert p_d == pytest.approx(1.0 - miss, rel=1e-13)
 
 
 # ------------------------------------------------- closed form vs simulation

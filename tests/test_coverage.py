@@ -98,6 +98,28 @@ def test_closed_form_matches_quadrature_at_zero_inner_radius():
     assert worst <= 1e-8
 
 
+# alpha -> 2, inner radius 0 and wide bands, which ORACLE_GRID does not
+# reach: the quadrature oracle must hold there too, at the same bound
+NEAR_TWO_GRID = tuple(
+    (alpha, beta_db, AnnulusRegion(inner, inner + width), r)
+    for alpha in (2.05, 2.2)
+    for beta_db in (-30.0, -20.0, -10.0, 0.0)
+    for inner in (0.0, 10.0, 150.0)
+    for width in (50.0, 1000.0)
+    for r in (10.0, 100.0, 400.0)
+)
+
+
+def test_quadrature_oracle_near_alpha_two():
+    worst = 0.0
+    for alpha, beta_db, annulus, r in NEAR_TWO_GRID:
+        args = (r, db_to_linear(beta_db), ORACLE_GRID_GAMMA, ORACLE_GRID_RHO_J, alpha, annulus)
+        cf = laplace_interference(*args, method="closed_form")
+        quad = laplace_interference(*args, method="quadrature")
+        worst = max(worst, abs(cf - quad))
+    assert worst <= 1e-8
+
+
 # alpha -> 2 edge, which ORACLE_GRID (alpha >= 2.5) does not reach:
 # (alpha, beta_db, gamma, annulus, r, L) with L the Laplace transform
 # at jammer intensity RHO_J from 40-digit quadrature of the defining

@@ -72,6 +72,26 @@ def test_q_rejects_nonfinite(bad):
         q_function(bad)
 
 
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_q_rejects_nonfinite_array_element(bad):
+    with pytest.raises(ValueError):
+        q_function(np.array([0.0, 1.0, bad, 2.0]))
+    with pytest.raises(ValueError):
+        q_function(np.full((2, 2), bad))
+
+
+def test_q_scalar_in_float_out_array_in_array_out():
+    assert type(q_function(1.5)) is float
+    assert type(q_function(np.float64(1.5))) is float
+    assert type(q_function(np.array(1.5))) is float
+    xs = np.linspace(-8.0, 8.0, 12).reshape(3, 4)
+    vals = q_function(xs)
+    assert isinstance(vals, np.ndarray) and vals.shape == (3, 4)
+    assert vals.tolist() == [[q_function(float(x)) for x in row] for row in xs]
+    assert q_function(np.empty(0)).shape == (0,)
+
+
 # ----------------------------------------------------------------- q_inverse
 
 
