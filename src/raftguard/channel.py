@@ -1,4 +1,4 @@
-"""Radio link model: transmit powers, pathloss, Rayleigh fading, SIR test.
+"""Radio link model: transmit powers, pathloss, Rayleigh-fading coverage.
 
 All powers are configured in dBm and converted to linear milliwatts
 internally; only power ratios ever matter to the results.  The network
@@ -19,8 +19,7 @@ __all__ = [
     "db_to_linear",
     "linear_to_db",
     "pathloss_db",
-    "covered",
-    "sample_fading",
+    "rayleigh_coverage",
 ]
 
 # Table of defaults: leader 30 dBm, follower 20 dBm, jammer 10 dBm,
@@ -52,11 +51,6 @@ def pathloss_db(distance, alpha: float):
         raise ValueError("distance must be > 0")
     out = 10.0 * alpha * np.log10(d)
     return float(out) if out.ndim == 0 else out
-
-
-def sample_fading(rng: np.random.Generator, size=None):
-    """Rayleigh fading power gains |h|^2, i.e. unit-mean exponentials."""
-    return rng.exponential(1.0, size)
 
 
 @dataclass(frozen=True)
@@ -118,16 +112,38 @@ class NetworkParams:
         return db_to_linear(self.p_jammer_dbm - self.p_follower_dbm)
 
 
-def covered(signal, interference_terms, owner, beta: float) -> np.ndarray:
-    """The SIR coverage test ``signal > beta * sum of interference`` for
-    a batch of receivers.
+def rayleigh_coverage(link, jammers, counts, beta_gamma, alpha: float) -> np.ndarray:
+    """Exact probability, given the geometry, that a receiver passes the
+    SIR test ``signal > beta * sum of interference`` under Rayleigh
+    fading.
 
-    ``signal[i]`` is receiver i's received signal power and
-    ``interference_terms[j]`` one interferer's received power at receiver
-    ``owner[j]``.  A receiver that owns no interferer sees zero
-    interference (interference-limited model, no noise) and is covered
-    whenever its signal is positive.
+    ``link`` holds link distances r, one row per jammer realisation (a
+    row may hold several receivers that see the same jammers).
+    ``jammers`` holds jammer distances d_j grouped by row: the first
+    ``counts[0]`` belong to row 0, the next ``counts[1]`` to row 1, and
+    so on.  ``beta_gamma`` is an SIR threshold times the
+    jammer-to-transmitter power ratio, or an array of them, one per
+    link type sharing the geometry (downlink and uplink, say).  With
+    independent unit-mean exponential fading power on every link the
+    probability is prod_j 1 / (1 + beta_gamma (r/d_j)^alpha), evaluated
+    as exp(-sum_j log1p(beta_gamma (r/d_j)^alpha)) with each row's sum
+    in ``jammers`` order.  A receiver with no jammer is covered with
+    probability exactly 1 (interference-limited model, no noise).
+    Returns an array of shape ``link.shape + beta_gamma.shape``.
     """
-    signal = np.asarray(signal)
-    interference = np.bincount(owner, weights=interference_terms, minlength=signal.size)
-    return signal > beta * interference
+    r = np.asarray(link, dtype=float)
+    bg = np.asarray(beta_gamma, dtype=float)
+    counts = np.asarray(counts, dtype=np.intp)
+    owner = np.repeat(np.arange(counts.size), counts)
+    with np.errstate(divide="ignore"):
+        gain = np.asarray(jammers, dtype=float) ** -alpha
+    cols = r.reshape(r.shape[0], -1)
+    log_miss = np.empty(cols.shape + (bg.size,))
+    terms = np.empty_like(gain)
+    # one column of receivers at a time keeps every temporary jammer-sized
+    for i in range(cols.shape[1]):
+        load = np.repeat(cols[:, i] ** alpha, counts) * gain
+        for b, c in enumerate(bg.flat):
+            np.log1p(np.multiply(load, c, out=terms), out=terms)
+            log_miss[:, i, b] = np.bincount(owner, weights=terms, minlength=counts.size)
+    return np.exp(-log_miss).reshape(r.shape + bg.shape)

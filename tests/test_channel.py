@@ -3,11 +3,10 @@ import pytest
 
 from raftguard.channel import (
     NetworkParams,
-    covered,
     db_to_linear,
     linear_to_db,
     pathloss_db,
-    sample_fading,
+    rayleigh_coverage,
 )
 from raftguard.geometry import AnnulusRegion, DiskRegion
 
@@ -36,13 +35,6 @@ def test_pathloss_vectorized_and_validated():
         pathloss_db(0.0, 3.0)
     with pytest.raises(ValueError):
         pathloss_db(10.0, 0.0)
-
-
-def test_fading_is_unit_mean_exponential():
-    rng = np.random.default_rng(3)
-    h = sample_fading(rng, 200000)
-    assert h.mean() == pytest.approx(1.0, abs=0.01)
-    assert h.min() >= 0.0
 
 
 # ------------------------------------------------------------------ params
@@ -80,38 +72,76 @@ def hand_params():
     return NetworkParams(beta_dl_db=-20.0, beta_ul_db=-20.0)
 
 
-def received(tx_power, distance, p):
-    # unit fading, so received power is just power times distance^-alpha
-    return tx_power * distance ** (-p.alpha)
-
-
 def test_sir_hand_value_downlink():
-    # leader 1000 mW at 10 m, one jammer 10 mW at 20 m, all fading 1:
-    # signal 1000/10^3 = 1, interference 10/20^3 = 1.25e-3, SIR = 800
+    # leader 1000 mW at 10 m, one jammer 10 mW at 20 m: mean SIR
+    # (1000/10^3) / (10/20^3) = 800, so under Rayleigh fading
+    # P(SIR > beta) = 1 / (1 + beta/800)
     p = hand_params()
-    signal = np.array([received(p.p_leader, 10.0, p)])
-    jam = np.array([received(p.p_jammer, 20.0, p)])
-    assert covered(signal, jam, [0], 799.0)[0]
-    assert not covered(signal, jam, [0], 801.0)[0]
+    for beta in (0.01, 1.0, 800.0, 1e6):
+        got = rayleigh_coverage([10.0], [20.0], [1], beta * p.gamma_dl, p.alpha)
+        assert got[0] == pytest.approx(1.0 / (1.0 + beta / 800.0), rel=1e-14)
 
 
 def test_sir_hand_value_uplink():
-    # follower transmits 100 mW: uplink SIR is one tenth of downlink
+    # follower transmits 100 mW: the uplink mean SIR is one tenth, 80
     p = hand_params()
-    signal = np.array([received(p.p_follower, 10.0, p)])
-    jam = np.array([received(p.p_jammer, 20.0, p)])
-    assert covered(signal, jam, [0], 79.9)[0]
-    assert not covered(signal, jam, [0], 80.1)[0]
+    for beta in (0.01, 1.0, 80.0, 1e6):
+        got = rayleigh_coverage([10.0], [20.0], [1], beta * p.gamma_ul, p.alpha)
+        assert got[0] == pytest.approx(1.0 / (1.0 + beta / 80.0), rel=1e-14)
 
 
 def test_sir_no_jammers_is_infinite():
-    # receiver 1 owns no interferer: its SIR is infinite and it is
-    # covered at any threshold, while receiver 0 is jammed out
+    # row 1 owns no jammer: its SIR is infinite and it is covered with
+    # probability exactly 1 at any threshold, while row 0 is jammed out
     p = hand_params()
-    signal = np.array([received(p.p_leader, 10.0, p), received(p.p_leader, 400.0, p)])
-    jam = np.array([received(p.p_jammer, 20.0, p)])
-    assert covered(signal, jam, np.array([0]), 1e9).tolist() == [False, True]
-    assert covered(signal, np.empty(0), np.empty(0, dtype=int), 1e9).tolist() == [True, True]
+    got = rayleigh_coverage([10.0, 400.0], [20.0], [1, 0], 1e9 * p.gamma_dl, p.alpha)
+    assert got[0] < 1e-6
+    assert got[1] == 1.0
+    assert rayleigh_coverage([10.0, 400.0], [], [0, 0], 1e9, p.alpha).tolist() == [1.0, 1.0]
+
+
+def test_rayleigh_coverage_matches_fading_tally():
+    # a fixed seeded jammer realisation and link distance; the tally
+    # draws unit-mean exponential fading on every link and applies the
+    # SIR test signal > beta * sum of interference directly
+    p = NetworkParams(beta_dl_db=0.0, beta_ul_db=0.0)
+    rng = np.random.default_rng(2024)
+    d_jam = np.sqrt(50.0**2 + rng.random(6) * (300.0**2 - 50.0**2))
+    r = 200.0
+    n, chunk = 1_000_000, 250_000
+    for p_tx, beta, beta_gamma in ((p.p_leader, p.beta_dl, p.beta_dl * p.gamma_dl),
+                                   (p.p_follower, p.beta_ul, p.beta_ul * p.gamma_ul)):
+        exact = rayleigh_coverage([r], d_jam, [d_jam.size], beta_gamma, p.alpha)[0]
+        hits = 0
+        for _ in range(n // chunk):
+            signal = p_tx * rng.exponential(1.0, chunk) * r ** -p.alpha
+            interference = (rng.exponential(1.0, (chunk, d_jam.size))
+                            * (p.p_jammer * d_jam ** -p.alpha)).sum(axis=1)
+            hits += int(np.count_nonzero(signal > beta * interference))
+        se = np.sqrt(exact * (1.0 - exact) / n)
+        assert 0.05 < exact < 0.95
+        assert abs(hits / n - exact) <= 4.0 * se
+
+
+def test_rayleigh_coverage_rows_share_their_jammers():
+    # each column of a row sees that row's jammers; a scalar threshold
+    # keeps the shape of the link array and a vector of thresholds adds
+    # a trailing axis
+    link = np.array([[10.0, 20.0], [30.0, 40.0], [50.0, 60.0]])
+    d_jam = np.array([25.0, 35.0, 45.0])
+    counts = [2, 0, 1]
+    owner = np.repeat(np.arange(3), counts)
+    both = rayleigh_coverage(link, d_jam, counts, (0.3, 2.0), 3.0)
+    assert both.shape == link.shape + (2,)
+    for b, beta_gamma in enumerate((0.3, 2.0)):
+        want = np.ones_like(link)
+        for j, d in zip(owner, d_jam):
+            want[j] /= 1.0 + beta_gamma * (link[j] / d) ** 3.0
+        got = rayleigh_coverage(link, d_jam, counts, beta_gamma, 3.0)
+        assert got.shape == link.shape
+        assert got == pytest.approx(want, rel=1e-14)
+        assert both[..., b] == pytest.approx(want, rel=1e-14)
+        assert got[1].tolist() == [1.0, 1.0]
 
 
 def test_params_carry_regions():

@@ -1,9 +1,18 @@
+import math
+import subprocess
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy.special import chndtr
+from scipy.stats import poisson
 
 from raftguard.auth import AuthProfile, lq_db_to_sigma, threshold_for_pfa
 from raftguard.channel import NetworkParams
 from raftguard.coverage import CoverageMethod, coverage_joint
+from raftguard.geometry import AnnulusRegion, annulus_radii
 from raftguard.montecarlo import (
     CHUNK_SIZE,
     AuthSimResult,
@@ -67,20 +76,22 @@ def test_short_runs_work():
 
 
 def test_coverage_regression():
-    """Tallies pinned at seed 42; any change to the draw order or the
+    """Estimates pinned at seed 42; any change to the draw order or the
     chunk seeding discipline shows up here."""
     res = estimate_coverage(TrialConfig(params(), 100000, 42))
-    assert res.p_dl == 0.99484
-    assert res.p_ul == 0.97792
-    assert res.p_joint == pytest.approx(0.9728739328, abs=1e-12)
+    assert res.p_dl == pytest.approx(0.9949768116151856, abs=1e-14)
+    assert res.p_ul == pytest.approx(0.977545284849727, abs=1e-14)
+    assert res.p_joint == pytest.approx(0.9726348907292398, abs=1e-14)
+    assert res.ci_ul == pytest.approx(0.0005465453352977964, rel=1e-10)
     assert res.method is CoverageMethod.MONTE_CARLO
 
 
 def test_consensus_regression():
     res = simulate_consensus(TrialConfig(params(), 20000, 7))
-    assert res.p_consensus == 0.9058
-    assert res.mean_followers == pytest.approx(15.0247, abs=1e-10)
-    assert res.mean_successes == pytest.approx(12.668, abs=1e-10)
+    assert res.p_consensus == pytest.approx(0.902140821516747, abs=1e-14)
+    assert res.ci_halfwidth == pytest.approx(0.0035415435495117133, rel=1e-10)
+    assert res.mean_followers == pytest.approx(15.0, abs=1e-12)
+    assert res.mean_successes == pytest.approx(12.59222158323099, abs=1e-10)
 
 
 # --------------------------------------------------------- cross-checks
@@ -95,23 +106,83 @@ def test_coverage_estimate_tracks_analytics():
     assert abs(mc.p_joint - ana.p_joint) <= 0.005
 
 
+@pytest.mark.parametrize("change", [
+    {"alpha": 2.05},
+    {"rho_j": 8.0 * NetworkParams().rho_j},
+    {"beta_dl_db": 0.0, "beta_ul_db": 0.0, "annulus": AnnulusRegion(100.0, 150.0)},
+], ids=["alpha_2.05", "rho_j_x8", "band_100_150_0db"])
+def test_coverage_estimate_within_four_intervals_of_closed_form(change):
+    p = replace(NetworkParams(), **change)
+    mc = estimate_coverage(TrialConfig(p, 100000, 42))
+    ana = coverage_joint(p)
+    assert abs(mc.p_dl - ana.p_dl) <= 4.0 * mc.ci_dl
+    assert abs(mc.p_ul - ana.p_ul) <= 4.0 * mc.ci_ul
+    assert abs(mc.p_joint - ana.p_joint) <= 4.0 * mc.ci_joint
+
+
 def test_coverage_without_jamming_is_certain():
     res = estimate_coverage(TrialConfig(params(rho_j=0.0), 5000, 2))
     assert res.p_dl == 1.0 and res.p_ul == 1.0 and res.p_joint == 1.0
+    assert res.ci_dl == 0.0 and res.ci_ul == 0.0 and res.ci_joint == 0.0
 
 
 def test_consensus_without_jamming_is_near_certain():
-    # every follower succeeds, so consensus fails only in the
-    # vanishingly rare zero-follower rounds
-    res = simulate_consensus(TrialConfig(params(rho_j=0.0), 20000, 3))
-    assert res.p_consensus == 1.0
+    # every follower is covered, so a round fails exactly when it has
+    # no follower: P = 1 - exp(-lambda_t) in every trial, with no spread
+    p = params(rho_j=0.0)
+    res = simulate_consensus(TrialConfig(p, 20000, 3))
+    assert res.p_consensus == pytest.approx(-math.expm1(-p.rho_t * p.disk.area), rel=1e-12)
+    assert res.ci_halfwidth == 0.0
 
 
 def test_consensus_with_no_followers_always_fails():
-    # intensity so small that every round draws zero followers
-    res = simulate_consensus(TrialConfig(params(rho_t=1e-12), 2000, 4))
-    assert res.p_consensus == 0.0
-    assert res.mean_followers == 0.0
+    # intensity so small that almost every round has no follower: a
+    # round needs at least one, so P(consensus) <= 1 - exp(-lambda_t)
+    p = params(rho_t=1e-12)
+    res = simulate_consensus(TrialConfig(p, 2000, 4))
+    lam_t = p.rho_t * p.disk.area
+    assert res.p_consensus <= -math.expm1(-lam_t)
+    assert res.mean_followers == lam_t
+
+
+@pytest.mark.parametrize("multiple", [1.0, 4.0, 8.0])
+@pytest.mark.parametrize("beta_db", [-20.0, 0.0])
+def test_consensus_disk_rule_matches_adaptive_quadrature(multiple, beta_db):
+    # A one-trial run draws its jammers as chunk 0 of the seed: a Poisson
+    # count, then annulus radii.  Given them, the expected covered count
+    # Lambda_s = lambda_t * (mean two-way coverage over the disk) is
+    # integrated here adaptively in u = (r/R)^2, and P(S > U) for the
+    # Poisson counts S, U is checked against a direct sum.
+    base = NetworkParams()
+    p = replace(base, rho_j=multiple * base.rho_j, beta_dl_db=beta_db, beta_ul_db=beta_db)
+    lam_t = p.rho_t * p.disk.area
+    for seed in range(4):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+        k = rng.poisson(p.rho_j * p.annulus.area, 1)
+        d_jam = annulus_radii(p.annulus, int(k.sum()), rng)
+
+        def two_way(u):
+            x = (p.disk.radius ** 2 * u) ** (p.alpha / 2) * d_jam ** -p.alpha
+            return float(np.prod(1.0 / (1.0 + p.beta_dl * p.gamma_dl * x))
+                         * np.prod(1.0 / (1.0 + p.beta_ul * p.gamma_ul * x)))
+
+        mean, _ = integrate.quad(two_way, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
+        lam_s = lam_t * mean
+        lam_u = lam_t - lam_s
+        want = chndtr(2.0 * lam_s, 2.0, 2.0 * lam_u)
+        u = np.arange(200)
+        assert want == pytest.approx(np.sum(poisson.pmf(u, lam_u) * poisson.sf(u, lam_s)),
+                                     abs=1e-13)
+        got = simulate_consensus(TrialConfig(p, 1, seed))
+        assert abs(got.p_consensus - want) <= 1e-5
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs about half a second to import
+    code = "import sys, raftguard; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 # -------------------------------------------------------------- validation
