@@ -121,11 +121,11 @@ class AuthProfile:
     @cached_property
     def _sorted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # stable order, sorted fingerprints, and for each sorted position
-        # the first position holding the same value, which the stable
-        # order gives the lowest index among duplicates
+        # the lowest index among fingerprints of the same value, which
+        # the stable order puts at the first position holding it
         order = np.argsort(self.ground_truth, kind="stable")
         srt = self.ground_truth[order]
-        return order, srt, np.searchsorted(srt, srt)
+        return order, srt, order[np.searchsorted(srt, srt)]
 
     def nearest(self, z):
         """Maximum-likelihood identification: index of the fingerprint
@@ -136,13 +136,13 @@ class AuthProfile:
         fingerprint counts.
         """
         z = np.asarray(z, dtype=float)
-        order, srt, first = self._sorted
+        _, srt, lowest = self._sorted
         above = np.searchsorted(srt, z)
-        lo = first[np.maximum(above - 1, 0)]
-        hi = first[np.minimum(above, srt.size - 1)]
+        lo = np.maximum(above - 1, 0)
+        hi = np.minimum(above, srt.size - 1)
         d_lo = np.abs(z - srt[lo])
         d_hi = np.abs(z - srt[hi])
-        i_lo, i_hi = order[lo], order[hi]
+        i_lo, i_hi = lowest[lo], lowest[hi]
         tie = np.minimum(i_lo, i_hi)
         return np.where(d_lo < d_hi, i_lo, np.where(d_hi < d_lo, i_hi, tie))[()]
 

@@ -112,29 +112,28 @@ class NetworkParams:
         return db_to_linear(self.p_jammer_dbm - self.p_follower_dbm)
 
 
-def rayleigh_coverage(link, jammers, counts, beta_gamma, alpha: float) -> np.ndarray:
+def rayleigh_coverage(link, jammers, owner, beta_gamma, alpha: float) -> np.ndarray:
     """Exact probability, given the geometry, that a receiver passes the
     SIR test ``signal > beta * sum of interference`` under Rayleigh
     fading.
 
     ``link`` holds link distances r, one row per jammer realisation (a
     row may hold several receivers that see the same jammers).
-    ``jammers`` holds jammer distances d_j grouped by row: the first
-    ``counts[0]`` belong to row 0, the next ``counts[1]`` to row 1, and
-    so on.  ``beta_gamma`` is an SIR threshold times the
-    jammer-to-transmitter power ratio, or an array of them, one per
-    link type sharing the geometry (downlink and uplink, say).  With
-    independent unit-mean exponential fading power on every link the
-    probability is prod_j 1 / (1 + beta_gamma (r/d_j)^alpha), evaluated
-    as exp(-sum_j log1p(beta_gamma (r/d_j)^alpha)) with each row's sum
-    in ``jammers`` order.  A receiver with no jammer is covered with
+    ``jammers`` holds jammer distances d_j in any order, and ``owner``
+    the row each of them belongs to.  ``beta_gamma`` is an SIR
+    threshold times the jammer-to-transmitter power ratio, or an array
+    of them, one per link type sharing the geometry (downlink and
+    uplink, say).  With independent unit-mean exponential fading power
+    on every link the probability is
+    prod_j 1 / (1 + beta_gamma (r/d_j)^alpha), evaluated as
+    exp(-sum_j log1p(beta_gamma (r/d_j)^alpha)) with each row's sum in
+    ``jammers`` order.  A receiver with no jammer is covered with
     probability exactly 1 (interference-limited model, no noise).
     Returns an array of shape ``link.shape + beta_gamma.shape``.
     """
     r = np.asarray(link, dtype=float)
     bg = np.asarray(beta_gamma, dtype=float)
-    counts = np.asarray(counts, dtype=np.intp)
-    owner = np.repeat(np.arange(counts.size), counts)
+    owner = np.asarray(owner, dtype=np.intp)
     with np.errstate(divide="ignore"):
         gain = np.asarray(jammers, dtype=float) ** -alpha
     cols = r.reshape(r.shape[0], -1)
@@ -142,8 +141,9 @@ def rayleigh_coverage(link, jammers, counts, beta_gamma, alpha: float) -> np.nda
     terms = np.empty_like(gain)
     # one column of receivers at a time keeps every temporary jammer-sized
     for i in range(cols.shape[1]):
-        load = np.repeat(cols[:, i] ** alpha, counts) * gain
+        load = (cols[:, i] ** alpha)[owner]
+        load *= gain
         for b, c in enumerate(bg.flat):
             np.log1p(np.multiply(load, c, out=terms), out=terms)
-            log_miss[:, i, b] = np.bincount(owner, weights=terms, minlength=counts.size)
+            log_miss[:, i, b] = np.bincount(owner, weights=terms, minlength=cols.shape[0])
     return np.exp(-log_miss).reshape(r.shape + bg.shape)

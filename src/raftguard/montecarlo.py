@@ -8,6 +8,14 @@ scheduled.  The coverage engines are Rao-Blackwellised: they draw only
 the geometry and average the exact Rayleigh-fading probability of
 success given it (``channel.rayleigh_coverage``); the authentication
 engine tallies integer counts.
+
+Each trial's jammers form a PPP of mean count lambda_j = rho_j * |annulus|.
+A chunk of n trials draws them as one field: a single Poisson(n *
+lambda_j) total, a uniformly drawn owning trial for each jammer, then
+the jammers' annulus radii.  By the superposition (splitting) property
+of the PPP the per-trial counts are then i.i.d. Poisson(lambda_j), the
+same law as one draw per trial (Haenggi, Stochastic Geometry for
+Wireless Networks, 2012).
 """
 
 from __future__ import annotations
@@ -102,14 +110,23 @@ def _chunks(n_trials: int, master_seed: int):
         yield size, np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
-class _TrialMean:
-    """Mean and standard error of per-trial values fed chunk by chunk.
+def _jammers(p: NetworkParams, size: int, rng: np.random.Generator):
+    """One chunk's jammer field: the trial owning each jammer and the
+    jammer's distance from the leader, drawn as one PPP of mean count
+    size * lambda_j whose points pick their trial uniformly."""
+    owner = rng.integers(0, size, rng.poisson(p.rho_j * p.annulus.area * size))
+    return owner, annulus_radii(p.annulus, owner.size, rng)
 
-    The mean is the plain sum over the count.  Squared deviations are
-    merged chunk by chunk (Chan, Golub and LeVeque) from values shifted
-    by the first one seen, so the sample variance is a sum of squares:
-    never negative, and exactly 0 when every value is equal.  One trial
-    gives no spread estimate and a standard error of 0.
+
+class _TrialMean:
+    """Means, and the covariance of the means, of k per-trial quantities
+    fed chunk by chunk as arrays of shape (k, trials).
+
+    The means are plain sums over the count.  Co-moments are merged
+    chunk by chunk (Chan, Golub and LeVeque) from values shifted by the
+    first trial's, so each variance is a sum of squares: never
+    negative, and exactly 0 when every value is equal.  One trial gives
+    no spread estimate and a covariance of 0.
     """
 
     def __init__(self) -> None:
@@ -120,24 +137,29 @@ class _TrialMean:
         self.m2 = 0.0
 
     def add(self, values: np.ndarray) -> None:
+        # row-contiguous, so every reduction runs along memory
+        values = np.ascontiguousarray(values)
         if self.shift is None:
-            self.shift = values[0]
+            self.shift = values[:, :1].copy()
         d = values - self.shift
-        mean = d.mean()
-        n = self.n + d.size
+        size = d.shape[1]
+        mean = d.mean(axis=1, keepdims=True)
+        n = self.n + size
         delta = mean - self.shifted_mean
-        self.m2 += float(np.square(d - mean).sum()) + delta * delta * self.n * d.size / n
-        self.shifted_mean += delta * d.size / n
+        dev = d - mean
+        self.m2 = (self.m2 + (dev[:, None] * dev[None]).sum(axis=-1)
+                   + (delta * delta.T) * (self.n * size / n))
+        self.shifted_mean = self.shifted_mean + delta * (size / n)
         self.n = n
-        self.total += float(values.sum())
+        self.total = self.total + values.sum(axis=1)
 
     @property
-    def mean(self) -> float:
+    def mean(self) -> np.ndarray:
         return self.total / self.n
 
     @property
-    def standard_error(self) -> float:
-        return math.sqrt(self.m2 / (self.n - 1) / self.n) if self.n > 1 else 0.0
+    def covariance(self) -> np.ndarray:
+        return self.m2 / ((self.n - 1) * self.n) if self.n > 1 else np.zeros_like(self.m2)
 
 
 def estimate_coverage(config: TrialConfig) -> CoverageResult:
@@ -150,32 +172,29 @@ def estimate_coverage(config: TrialConfig) -> CoverageResult:
     them, so no fading is drawn.  The marginals are trial averages with
     95 % sample-variance half-widths.  The joint estimate is the product
     of the two marginals, matching the analytic product form, so its
-    half-width comes from error propagation.
+    half-width comes from error propagation, with the covariance of the
+    two marginals, which share every trial's geometry.
     """
     p = config.params
-    lam_j = p.rho_j * p.annulus.area
     beta_gamma = (p.beta_dl * p.gamma_dl, p.beta_ul * p.gamma_ul)
-    dl = _TrialMean()
-    ul = _TrialMean()
+    both = _TrialMean()
     for size, rng in _chunks(config.n_trials, config.master_seed):
-        k = rng.poisson(lam_j, size)
-        d_jam = annulus_radii(p.annulus, int(k.sum()), rng)
+        owner, d_jam = _jammers(p, size, rng)
         r = link_distances(p.rho_t, size, rng)
-        covered = rayleigh_coverage(r, d_jam, k, beta_gamma, p.alpha)
-        dl.add(covered[:, 0])
-        ul.add(covered[:, 1])
+        both.add(rayleigh_coverage(r, d_jam, owner, beta_gamma, p.alpha).T)
 
-    p_dl, se_dl = dl.mean, dl.standard_error
-    p_ul, se_ul = ul.mean, ul.standard_error
-    ci_joint = _Z95 * math.sqrt((p_ul * se_dl) ** 2 + (p_dl * se_ul) ** 2)
+    p_dl, p_ul = (float(x) for x in both.mean)
+    (var_dl, cov), (_, var_ul) = both.covariance
+    var_joint = (p_ul * p_ul * var_dl + p_dl * p_dl * var_ul
+                 + 2.0 * p_dl * p_ul * cov)
     return CoverageResult(
         p_dl=p_dl,
         p_ul=p_ul,
         p_joint=p_dl * p_ul,
         method=CoverageMethod.MONTE_CARLO,
-        ci_dl=_Z95 * se_dl,
-        ci_ul=_Z95 * se_ul,
-        ci_joint=ci_joint,
+        ci_dl=_Z95 * math.sqrt(var_dl),
+        ci_ul=_Z95 * math.sqrt(var_ul),
+        ci_joint=_Z95 * math.sqrt(max(var_joint, 0.0)),
         n_trials=config.n_trials,
     )
 
@@ -197,30 +216,26 @@ def simulate_consensus(config: TrialConfig) -> ConsensusOutcome:
     """
     p = config.params
     lam_t = p.rho_t * p.disk.area
-    lam_j = p.rho_j * p.annulus.area
     beta_gamma = (p.beta_dl * p.gamma_dl, p.beta_ul * p.gamma_ul)
     disk_u, disk_w = _disk_rule()
     node_r = p.disk.radius * np.sqrt(disk_u)
-    consensus = _TrialMean()
-    successes = 0.0
+    trials = _TrialMean()
     for size, rng in _chunks(config.n_trials, config.master_seed):
-        k = rng.poisson(lam_j, size)
-        d_jam = annulus_radii(p.annulus, int(k.sum()), rng)
+        owner, d_jam = _jammers(p, size, rng)
         nodes = np.broadcast_to(node_r, (size, node_r.size))
-        covered = rayleigh_coverage(nodes, d_jam, k, beta_gamma, p.alpha)
+        covered = rayleigh_coverage(nodes, d_jam, owner, beta_gamma, p.alpha)
         two_way = covered[..., 0] * covered[..., 1]
         lam_s = lam_t * (two_way * disk_w).sum(axis=1)
         lam_u = lam_t * ((1.0 - two_way) * disk_w).sum(axis=1)
-        consensus.add(chndtr(2.0 * lam_s, 2.0, 2.0 * lam_u))
-        successes += float(lam_s.sum())
+        trials.add(np.stack((chndtr(2.0 * lam_s, 2.0, 2.0 * lam_u), lam_s)))
 
-    n = config.n_trials
+    p_consensus, mean_successes = (float(x) for x in trials.mean)
     return ConsensusOutcome(
-        p_consensus=consensus.mean,
-        ci_halfwidth=_Z95 * consensus.standard_error,
-        n_trials=n,
+        p_consensus=p_consensus,
+        ci_halfwidth=_Z95 * math.sqrt(trials.covariance[0, 0]),
+        n_trials=config.n_trials,
         mean_followers=lam_t,
-        mean_successes=successes / n,
+        mean_successes=mean_successes,
     )
 
 
@@ -283,6 +298,16 @@ class AuthSimResult:
         return self.n_wrong_index / self.n_trials
 
 
+def _prior_cdf(priors: np.ndarray) -> np.ndarray:
+    """CDF that ``cdf.searchsorted(rng.random(n), side="right")`` inverts
+    to draw n indices by ``priors``: the draw, from the same stream
+    position, of ``Generator.choice(priors.size, n, p=priors)``, which
+    re-validates the priors and rebuilds the CDF on every call."""
+    cdf = priors.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def simulate_auth(
     profile: AuthProfile,
     scenario: str,
@@ -310,20 +335,20 @@ def simulate_auth(
         raise ValueError("eve_pathlosses only applies to the 'eve' scenario")
 
     m = profile.m
-    fixed_eves = None
-    if scenario == "eve" and eve_pathlosses is not None:
-        fixed_eves, eve_pri = profile.intruders(eve_pathlosses)
+    cdf = None
+    if scenario == "legit":
+        pool, cdf = profile.ground_truth, _prior_cdf(profile.follower_priors())
+    elif eve_pathlosses is not None:
+        pool, eve_pri = profile.intruders(eve_pathlosses)
+        cdf = _prior_cdf(eve_pri)
 
     n_accepted = 0
     n_wrong = 0
     n_claimed_accepted = 0
     for size, rng in _chunks(n_trials, master_seed):
-        if scenario == "legit":
-            ident = rng.choice(m, size=size, p=profile.follower_priors())
-            truth = profile.ground_truth[ident]
-        elif fixed_eves is not None:
-            ident = rng.choice(fixed_eves.size, size=size, p=eve_pri)
-            truth = fixed_eves[ident]
+        if cdf is not None:
+            ident = cdf.searchsorted(rng.random(size), side="right")
+            truth = pool[ident]
         else:
             truth = rng.uniform(profile.psi_min, profile.psi_max, size)
         z = truth + rng.normal(0.0, profile.sigma, size)

@@ -78,7 +78,7 @@ def test_sir_hand_value_downlink():
     # P(SIR > beta) = 1 / (1 + beta/800)
     p = hand_params()
     for beta in (0.01, 1.0, 800.0, 1e6):
-        got = rayleigh_coverage([10.0], [20.0], [1], beta * p.gamma_dl, p.alpha)
+        got = rayleigh_coverage([10.0], [20.0], [0], beta * p.gamma_dl, p.alpha)
         assert got[0] == pytest.approx(1.0 / (1.0 + beta / 800.0), rel=1e-14)
 
 
@@ -86,7 +86,7 @@ def test_sir_hand_value_uplink():
     # follower transmits 100 mW: the uplink mean SIR is one tenth, 80
     p = hand_params()
     for beta in (0.01, 1.0, 80.0, 1e6):
-        got = rayleigh_coverage([10.0], [20.0], [1], beta * p.gamma_ul, p.alpha)
+        got = rayleigh_coverage([10.0], [20.0], [0], beta * p.gamma_ul, p.alpha)
         assert got[0] == pytest.approx(1.0 / (1.0 + beta / 80.0), rel=1e-14)
 
 
@@ -94,10 +94,10 @@ def test_sir_no_jammers_is_infinite():
     # row 1 owns no jammer: its SIR is infinite and it is covered with
     # probability exactly 1 at any threshold, while row 0 is jammed out
     p = hand_params()
-    got = rayleigh_coverage([10.0, 400.0], [20.0], [1, 0], 1e9 * p.gamma_dl, p.alpha)
+    got = rayleigh_coverage([10.0, 400.0], [20.0], [0], 1e9 * p.gamma_dl, p.alpha)
     assert got[0] < 1e-6
     assert got[1] == 1.0
-    assert rayleigh_coverage([10.0, 400.0], [], [0, 0], 1e9, p.alpha).tolist() == [1.0, 1.0]
+    assert rayleigh_coverage([10.0, 400.0], [], [], 1e9, p.alpha).tolist() == [1.0, 1.0]
 
 
 def test_rayleigh_coverage_matches_fading_tally():
@@ -111,7 +111,8 @@ def test_rayleigh_coverage_matches_fading_tally():
     n, chunk = 1_000_000, 250_000
     for p_tx, beta, beta_gamma in ((p.p_leader, p.beta_dl, p.beta_dl * p.gamma_dl),
                                    (p.p_follower, p.beta_ul, p.beta_ul * p.gamma_ul)):
-        exact = rayleigh_coverage([r], d_jam, [d_jam.size], beta_gamma, p.alpha)[0]
+        exact = rayleigh_coverage([r], d_jam, np.zeros(d_jam.size, int), beta_gamma,
+                                  p.alpha)[0]
         hits = 0
         for _ in range(n // chunk):
             signal = p_tx * rng.exponential(1.0, chunk) * r ** -p.alpha
@@ -124,20 +125,19 @@ def test_rayleigh_coverage_matches_fading_tally():
 
 
 def test_rayleigh_coverage_rows_share_their_jammers():
-    # each column of a row sees that row's jammers; a scalar threshold
-    # keeps the shape of the link array and a vector of thresholds adds
-    # a trailing axis
+    # each column of a row sees that row's jammers, which need not be
+    # grouped by row; a scalar threshold keeps the shape of the link
+    # array and a vector of thresholds adds a trailing axis
     link = np.array([[10.0, 20.0], [30.0, 40.0], [50.0, 60.0]])
-    d_jam = np.array([25.0, 35.0, 45.0])
-    counts = [2, 0, 1]
-    owner = np.repeat(np.arange(3), counts)
-    both = rayleigh_coverage(link, d_jam, counts, (0.3, 2.0), 3.0)
+    d_jam = np.array([25.0, 45.0, 35.0])
+    owner = np.array([0, 2, 0])
+    both = rayleigh_coverage(link, d_jam, owner, (0.3, 2.0), 3.0)
     assert both.shape == link.shape + (2,)
     for b, beta_gamma in enumerate((0.3, 2.0)):
         want = np.ones_like(link)
         for j, d in zip(owner, d_jam):
             want[j] /= 1.0 + beta_gamma * (link[j] / d) ** 3.0
-        got = rayleigh_coverage(link, d_jam, counts, beta_gamma, 3.0)
+        got = rayleigh_coverage(link, d_jam, owner, beta_gamma, 3.0)
         assert got.shape == link.shape
         assert got == pytest.approx(want, rel=1e-14)
         assert both[..., b] == pytest.approx(want, rel=1e-14)
