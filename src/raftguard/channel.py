@@ -139,11 +139,16 @@ def rayleigh_coverage(link, jammers, owner, beta_gamma, alpha: float) -> np.ndar
     cols = r.reshape(r.shape[0], -1)
     log_miss = np.empty(cols.shape + (bg.size,))
     terms = np.empty_like(gain)
-    # one column of receivers at a time keeps every temporary jammer-sized
+    # the gains and one jammer-sized buffer, reused for every receiver
+    # column and threshold ("clip" keeps take from buffering; bincount
+    # rejects owners out of range)
     for i in range(cols.shape[1]):
-        load = (cols[:, i] ** alpha)[owner]
-        load *= gain
+        near = cols[:, i] ** alpha
         for b, c in enumerate(bg.flat):
-            np.log1p(np.multiply(load, c, out=terms), out=terms)
+            np.take(near, owner, out=terms, mode="clip")
+            terms *= gain
+            terms *= c
+            np.log1p(terms, out=terms)
             log_miss[:, i, b] = np.bincount(owner, weights=terms, minlength=cols.shape[0])
-    return np.exp(-log_miss).reshape(r.shape + bg.shape)
+    covered = np.exp(np.negative(log_miss, out=log_miss), out=log_miss)
+    return covered.reshape(r.shape + bg.shape)

@@ -70,7 +70,10 @@ def annulus_radii(region: AnnulusRegion, n: int, rng: np.random.Generator) -> np
     """Radii of n points uniform over the annulus."""
     lo2 = region.inner * region.inner
     hi2 = region.outer * region.outer
-    return np.sqrt(lo2 + rng.random(n) * (hi2 - lo2))
+    r2 = rng.random(n)
+    r2 *= hi2 - lo2
+    r2 += lo2
+    return np.sqrt(r2, out=r2)
 
 
 def uniform_disk_points(n: int, region: DiskRegion, rng: np.random.Generator) -> np.ndarray:

@@ -120,7 +120,7 @@ def _jammers(p: NetworkParams, size: int, rng: np.random.Generator):
 
 class _TrialMean:
     """Means, and the covariance of the means, of k per-trial quantities
-    fed chunk by chunk as arrays of shape (k, trials).
+    fed chunk by chunk as row-contiguous arrays of shape (k, trials).
 
     The means are plain sums over the count.  Co-moments are merged
     chunk by chunk (Chan, Golub and LeVeque) from values shifted by the
@@ -137,17 +137,15 @@ class _TrialMean:
         self.m2 = 0.0
 
     def add(self, values: np.ndarray) -> None:
-        # row-contiguous, so every reduction runs along memory
-        values = np.ascontiguousarray(values)
         if self.shift is None:
             self.shift = values[:, :1].copy()
-        d = values - self.shift
-        size = d.shape[1]
-        mean = d.mean(axis=1, keepdims=True)
+        dev = values - self.shift
+        size = dev.shape[1]
+        mean = dev.mean(axis=1, keepdims=True)
         n = self.n + size
         delta = mean - self.shifted_mean
-        dev = d - mean
-        self.m2 = (self.m2 + (dev[:, None] * dev[None]).sum(axis=-1)
+        dev -= mean
+        self.m2 = (self.m2 + np.einsum("in,jn->ij", dev, dev)
                    + (delta * delta.T) * (self.n * size / n))
         self.shifted_mean = self.shifted_mean + delta * (size / n)
         self.n = n
@@ -181,7 +179,7 @@ def estimate_coverage(config: TrialConfig) -> CoverageResult:
     for size, rng in _chunks(config.n_trials, config.master_seed):
         owner, d_jam = _jammers(p, size, rng)
         r = link_distances(p.rho_t, size, rng)
-        both.add(rayleigh_coverage(r, d_jam, owner, beta_gamma, p.alpha).T)
+        both.add(np.ascontiguousarray(rayleigh_coverage(r, d_jam, owner, beta_gamma, p.alpha).T))
 
     p_dl, p_ul = (float(x) for x in both.mean)
     (var_dl, cov), (_, var_ul) = both.covariance
@@ -219,7 +217,8 @@ def simulate_consensus(config: TrialConfig) -> ConsensusOutcome:
     beta_gamma = (p.beta_dl * p.gamma_dl, p.beta_ul * p.gamma_ul)
     disk_u, disk_w = _disk_rule()
     node_r = p.disk.radius * np.sqrt(disk_u)
-    trials = _TrialMean()
+    consensus = _TrialMean()
+    successes = 0.0
     for size, rng in _chunks(config.n_trials, config.master_seed):
         owner, d_jam = _jammers(p, size, rng)
         nodes = np.broadcast_to(node_r, (size, node_r.size))
@@ -227,15 +226,16 @@ def simulate_consensus(config: TrialConfig) -> ConsensusOutcome:
         two_way = covered[..., 0] * covered[..., 1]
         lam_s = lam_t * (two_way * disk_w).sum(axis=1)
         lam_u = lam_t * ((1.0 - two_way) * disk_w).sum(axis=1)
-        trials.add(np.stack((chndtr(2.0 * lam_s, 2.0, 2.0 * lam_u), lam_s)))
+        consensus.add(chndtr(2.0 * lam_s, 2.0, 2.0 * lam_u)[None])
+        successes += float(lam_s.sum())
 
-    p_consensus, mean_successes = (float(x) for x in trials.mean)
+    n = config.n_trials
     return ConsensusOutcome(
-        p_consensus=p_consensus,
-        ci_halfwidth=_Z95 * math.sqrt(trials.covariance[0, 0]),
-        n_trials=config.n_trials,
+        p_consensus=float(consensus.mean[0]),
+        ci_halfwidth=_Z95 * math.sqrt(consensus.covariance[0, 0]),
+        n_trials=n,
         mean_followers=lam_t,
-        mean_successes=mean_successes,
+        mean_successes=successes / n,
     )
 
 
@@ -298,16 +298,6 @@ class AuthSimResult:
         return self.n_wrong_index / self.n_trials
 
 
-def _prior_cdf(priors: np.ndarray) -> np.ndarray:
-    """CDF that ``cdf.searchsorted(rng.random(n), side="right")`` inverts
-    to draw n indices by ``priors``: the draw, from the same stream
-    position, of ``Generator.choice(priors.size, n, p=priors)``, which
-    re-validates the priors and rebuilds the CDF on every call."""
-    cdf = priors.cumsum()
-    cdf /= cdf[-1]
-    return cdf
-
-
 def simulate_auth(
     profile: AuthProfile,
     scenario: str,
@@ -335,19 +325,18 @@ def simulate_auth(
         raise ValueError("eve_pathlosses only applies to the 'eve' scenario")
 
     m = profile.m
-    cdf = None
+    pool = None
     if scenario == "legit":
-        pool, cdf = profile.ground_truth, _prior_cdf(profile.follower_priors())
+        pool, priors = profile.ground_truth, profile.follower_priors()
     elif eve_pathlosses is not None:
-        pool, eve_pri = profile.intruders(eve_pathlosses)
-        cdf = _prior_cdf(eve_pri)
+        pool, priors = profile.intruders(eve_pathlosses)
 
     n_accepted = 0
     n_wrong = 0
     n_claimed_accepted = 0
     for size, rng in _chunks(n_trials, master_seed):
-        if cdf is not None:
-            ident = cdf.searchsorted(rng.random(size), side="right")
+        if pool is not None:
+            ident = rng.choice(pool.size, size=size, p=priors)
             truth = pool[ident]
         else:
             truth = rng.uniform(profile.psi_min, profile.psi_max, size)

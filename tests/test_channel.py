@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,28 @@ def test_rayleigh_coverage_rows_share_their_jammers():
         assert got == pytest.approx(want, rel=1e-14)
         assert both[..., b] == pytest.approx(want, rel=1e-14)
         assert got[1].tolist() == [1.0, 1.0]
+
+
+def test_rayleigh_coverage_rejects_owners_out_of_range():
+    for owner in ([1], [-1]):
+        with pytest.raises(ValueError):
+            rayleigh_coverage([10.0], [20.0], owner, 1.0, 3.0)
+
+
+def test_rayleigh_coverage_holds_two_jammer_sized_arrays():
+    # the jammer gains and one work buffer, reused for every receiver
+    # column and threshold: no temporary per column or per threshold
+    rng = np.random.default_rng(5)
+    d_jam = 300.0 * np.sqrt(rng.random(200_000))
+    owner = rng.integers(0, 512, d_jam.size)
+    link = np.broadcast_to(np.linspace(30.0, 500.0, 16), (512, 16))
+    tracemalloc.start()
+    try:
+        rayleigh_coverage(link, d_jam, owner, (0.1, 1.0), 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * d_jam.nbytes
 
 
 def test_params_carry_regions():

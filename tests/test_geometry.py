@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,17 @@ def test_annulus_radii_distribution():
     assert r.min() >= 100.0 and r.max() <= 300.0
     ks = stats.kstest(r, lambda x: (x**2 - 100.0**2) / (300.0**2 - 100.0**2))
     assert ks.pvalue > 1e-3
+
+
+def test_annulus_radii_draws_into_one_array():
+    rng = np.random.default_rng(6)
+    tracemalloc.start()
+    try:
+        r = annulus_radii(AnnulusRegion(100.0, 300.0), 200_000, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * r.nbytes
 
 
 def test_link_distances_distribution():

@@ -248,19 +248,6 @@ def test_coverage_intervals_match_sample_covariance():
     assert res.ci_joint == pytest.approx(z * math.sqrt(joint), rel=1e-12)
 
 
-@pytest.mark.parametrize("m", [1, 5, 1000])
-def test_identity_draw_matches_generator_choice(m):
-    for seed in range(4):
-        priors = np.random.default_rng(100 + seed).random(m)
-        priors /= priors.sum()
-        mine, numpy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        cdf = montecarlo._prior_cdf(priors)
-        got = cdf.searchsorted(mine.random(777), side="right")
-        want = numpy_rng.choice(m, size=777, p=priors)
-        assert np.array_equal(got, want)
-        assert mine.random() == numpy_rng.random()
-
-
 def test_import_does_not_load_scipy_stats():
     # scipy.stats costs about half a second to import
     code = "import sys, raftguard; print('scipy.stats' in sys.modules)"
