@@ -7,8 +7,6 @@ seeded Monte Carlo engines that cross-validate every closed form.
 
 from raftguard.auth import (
     AuthProfile,
-    ErrorProbabilities,
-    error_probabilities,
     lq_db_to_sigma,
     p_fa_closed_form,
     p_md_closed_form,
@@ -16,16 +14,12 @@ from raftguard.auth import (
     p_mc_closed_form,
     roc_curve,
     sample_fingerprints,
-    sigma_to_lq_db,
     threshold_for_pfa,
 )
 from raftguard.channel import NetworkParams, pathloss_db
 from raftguard.coverage import (
-    CoverageMethod,
     CoverageResult,
-    coverage_dl,
     coverage_joint,
-    coverage_ul,
     laplace_interference,
 )
 from raftguard.geometry import AnnulusRegion, DiskRegion
@@ -44,16 +38,11 @@ __all__ = [
     "AnnulusRegion",
     "AuthProfile",
     "ConsensusOutcome",
-    "CoverageMethod",
     "CoverageResult",
     "DiskRegion",
-    "ErrorProbabilities",
     "NetworkParams",
     "TrialConfig",
-    "coverage_dl",
     "coverage_joint",
-    "coverage_ul",
-    "error_probabilities",
     "estimate_coverage",
     "laplace_interference",
     "lq_db_to_sigma",
@@ -66,7 +55,6 @@ __all__ = [
     "q_inverse",
     "roc_curve",
     "sample_fingerprints",
-    "sigma_to_lq_db",
     "simulate_auth",
     "simulate_consensus",
     "threshold_for_pfa",

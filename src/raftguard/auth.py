@@ -23,9 +23,7 @@ from raftguard.specfun import q_function, q_inverse
 
 __all__ = [
     "AuthProfile",
-    "ErrorProbabilities",
     "lq_db_to_sigma",
-    "sigma_to_lq_db",
     "sample_fingerprints",
     "threshold_for_pfa",
     "p_fa_closed_form",
@@ -33,7 +31,6 @@ __all__ = [
     "p_md_expected",
     "p_mc_closed_form",
     "roc_curve",
-    "error_probabilities",
 ]
 
 # Prior support for an unknown intruder fingerprint: pathloss at 1 m and
@@ -47,12 +44,6 @@ def lq_db_to_sigma(lq_db: float) -> float:
     if not math.isfinite(lq_db):
         raise ValueError(f"lq_db must be finite, got {lq_db}")
     return 10.0 ** (-lq_db / 20.0)
-
-
-def sigma_to_lq_db(sigma: float) -> float:
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    return -20.0 * math.log10(sigma)
 
 
 def _validated_priors(priors, count: int, name: str) -> np.ndarray:
@@ -150,22 +141,6 @@ class AuthProfile:
         """Threshold test against fingerprint ``index``: accept (H0) iff
         ``|z - Psi[index]| < epsilon``; the boundary itself rejects."""
         return np.abs(np.asarray(z, dtype=float) - self.ground_truth[index]) < self.epsilon
-
-
-@dataclass(frozen=True)
-class ErrorProbabilities:
-    """Bundle of the four closed-form authentication error rates."""
-
-    p_fa: float
-    p_md: float
-    p_md_expected: float
-    p_mc: float
-
-    def __post_init__(self) -> None:
-        for name in ("p_fa", "p_md", "p_md_expected", "p_mc"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} = {v} is not a probability")
 
 
 def sample_fingerprints(
@@ -315,14 +290,3 @@ def roc_curve(profile: AuthProfile, p_fa_grid) -> list[tuple[float, float, float
         miss = _clip_probability(w, "roc missed-detection")
         out.append((target, e, 1.0 - miss))
     return out
-
-
-def error_probabilities(profile: AuthProfile, eve_pathlosses) -> ErrorProbabilities:
-    """All four closed-form error rates for one profile and one fixed
-    set of intruder fingerprints."""
-    return ErrorProbabilities(
-        p_fa=p_fa_closed_form(profile.epsilon, profile.sigma),
-        p_md=p_md_closed_form(profile, eve_pathlosses),
-        p_md_expected=p_md_expected(profile),
-        p_mc=p_mc_closed_form(profile),
-    )

@@ -17,7 +17,6 @@ from raftguard.geometry import AnnulusRegion, DiskRegion
 __all__ = [
     "NetworkParams",
     "db_to_linear",
-    "linear_to_db",
     "pathloss_db",
     "rayleigh_coverage",
 ]
@@ -30,12 +29,6 @@ _DEFAULT_RHO = 15.0 / (math.pi * 500.0 * 500.0)
 def db_to_linear(x_db: float) -> float:
     """dB (or dBm) value to linear ratio (or mW)."""
     return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    if x <= 0.0:
-        raise ValueError(f"linear value must be positive, got {x}")
-    return 10.0 * math.log10(x)
 
 
 def pathloss_db(distance, alpha: float):

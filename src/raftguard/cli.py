@@ -245,11 +245,13 @@ def build_config(data: dict, raw_text: str, overrides: dict | None = None) -> Ex
         if key not in known_top:
             errors.add(key, "unknown top-level key")
 
-    scenario = overrides.get("scenario", data.get("scenario"))
+    # a CLI override is validated in place of the file's value, under the flag's name
+    src, path = (overrides, "--scenario") if "scenario" in overrides else (data, "scenario")
+    scenario = src.get("scenario")
     if scenario is None:
-        errors.add("scenario", "missing required key")
+        errors.add(path, "missing required key")
     elif not isinstance(scenario, str) or scenario not in SCENARIOS:
-        errors.add("scenario", f"unknown scenario {scenario!r}; "
+        errors.add(path, f"unknown scenario {scenario!r}; "
                    f"expected one of {sorted(SCENARIOS)}")
         scenario = None
     spec = SCENARIOS.get(scenario)
@@ -279,10 +281,10 @@ def build_config(data: dict, raw_text: str, overrides: dict | None = None) -> Ex
     if domain_error:
         errors.add("sweep.start", domain_error)
 
-    n_trials = overrides.get("n_trials",
-                             _integer(data, "n_trials", "n_trials", errors, minimum=1))
-    master_seed = overrides.get("master_seed",
-                                _integer(data, "master_seed", "master_seed", errors, minimum=0))
+    src, path = (overrides, "--trials") if "n_trials" in overrides else (data, "n_trials")
+    n_trials = _integer(src, "n_trials", path, errors, minimum=1)
+    src, path = (overrides, "--seed") if "master_seed" in overrides else (data, "master_seed")
+    master_seed = _integer(src, "master_seed", path, errors, minimum=0)
 
     out = data.get("output", {})
     if not isinstance(out, dict):
@@ -547,14 +549,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     overrides = {}
     if args.seed is not None:
-        if args.seed < 0:
-            print("config error: --seed must be >= 0", file=sys.stderr)
-            return 2
         overrides["master_seed"] = args.seed
     if args.trials is not None:
-        if args.trials < 1:
-            print("config error: --trials must be >= 1", file=sys.stderr)
-            return 2
         overrides["n_trials"] = args.trials
     if args.out:
         overrides["output_path"] = args.out

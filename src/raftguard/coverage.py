@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from scipy import integrate
 from scipy.special import hyp2f1
@@ -23,14 +22,11 @@ from raftguard.channel import NetworkParams
 from raftguard.geometry import AnnulusRegion
 
 __all__ = [
-    "CoverageMethod",
     "CoverageResult",
     "ORACLE_GRID",
     "ORACLE_GRID_GAMMA",
     "ORACLE_GRID_RHO_J",
     "laplace_interference",
-    "coverage_dl",
-    "coverage_ul",
     "coverage_joint",
 ]
 
@@ -54,12 +50,6 @@ ORACLE_GRID = tuple(
 _OUTER_TAIL_EXPONENT = 30.0
 
 
-class CoverageMethod(Enum):
-    CLOSED_FORM = "closed_form"
-    QUADRATURE_ORACLE = "quadrature_oracle"
-    MONTE_CARLO = "monte_carlo"
-
-
 @dataclass(frozen=True)
 class CoverageResult:
     """Joint downlink/uplink coverage evaluation.
@@ -72,7 +62,6 @@ class CoverageResult:
     p_dl: float
     p_ul: float
     p_joint: float
-    method: CoverageMethod
     quadrature_error_estimate: float = 0.0
     ci_dl: float | None = None
     ci_ul: float | None = None
@@ -215,30 +204,15 @@ def _coverage_direction(
     return min(max(val, 0.0), 1.0), err
 
 
-def coverage_dl(params: NetworkParams, *, method: str = "closed_form") -> float:
-    """Downlink coverage probability P(SIR_DL > beta_DL) for the
-    typical follower, averaged over its link distance."""
-    _check_method(method)
-    return _coverage_direction(params.beta_dl, params.gamma_dl, params, method)[0]
-
-
-def coverage_ul(params: NetworkParams, *, method: str = "closed_form") -> float:
-    """Uplink coverage probability P(SIR_UL > beta_UL) at the leader."""
-    _check_method(method)
-    return _coverage_direction(params.beta_ul, params.gamma_ul, params, method)[0]
-
-
 def coverage_joint(params: NetworkParams, *, method: str = "closed_form") -> CoverageResult:
     """Joint coverage: product of the downlink and uplink marginals
     (the two directions use independent fading)."""
     _check_method(method)
     p_dl, err_dl = _coverage_direction(params.beta_dl, params.gamma_dl, params, method)
     p_ul, err_ul = _coverage_direction(params.beta_ul, params.gamma_ul, params, method)
-    label = CoverageMethod.QUADRATURE_ORACLE if method == "quadrature" else CoverageMethod.CLOSED_FORM
     return CoverageResult(
         p_dl=p_dl,
         p_ul=p_ul,
         p_joint=p_dl * p_ul,
-        method=label,
         quadrature_error_estimate=max(err_dl, err_ul),
     )

@@ -19,7 +19,6 @@ __all__ = [
     "disk_radii",
     "annulus_radii",
     "link_distances",
-    "distance_pdf",
 ]
 
 
@@ -91,14 +90,3 @@ def link_distances(rho_t: float, n: int, rng: np.random.Generator) -> np.ndarray
     if not (math.isfinite(rho_t) and rho_t > 0.0):
         raise ValueError(f"rho_t must be positive and finite, got {rho_t}")
     return rng.rayleigh(scale=1.0 / math.sqrt(2.0 * math.pi * rho_t), size=n)
-
-
-def distance_pdf(r, rho_t: float):
-    """Density of the typical leader-follower distance at r (scalar or array)."""
-    if not (math.isfinite(rho_t) and rho_t > 0.0):
-        raise ValueError(f"rho_t must be positive and finite, got {rho_t}")
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0):
-        raise ValueError("distance must be >= 0")
-    out = 2.0 * math.pi * rho_t * r * np.exp(-rho_t * math.pi * r * r)
-    return float(out) if out.ndim == 0 else out

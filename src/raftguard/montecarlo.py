@@ -29,7 +29,7 @@ from scipy.special import chndtr
 
 from raftguard.auth import AuthProfile
 from raftguard.channel import NetworkParams, rayleigh_coverage
-from raftguard.coverage import CoverageMethod, CoverageResult
+from raftguard.coverage import CoverageResult
 from raftguard.geometry import annulus_radii, link_distances
 from raftguard.specfun import q_inverse
 
@@ -82,6 +82,10 @@ class ConsensusOutcome:
     per-trial conditional probabilities.  ``mean_followers`` is the
     expected follower count rho_t * |disk|, and ``mean_successes`` the
     trial average of the expected count of two-way covered followers.
+    That count comes from the 16-node disk rule, whose first node sits
+    at about 0.073 R, so it is coarse when coverage is confined near the
+    leader; ``p_consensus`` is not affected, being tiny wherever the
+    count is.
     """
 
     p_consensus: float
@@ -189,7 +193,6 @@ def estimate_coverage(config: TrialConfig) -> CoverageResult:
         p_dl=p_dl,
         p_ul=p_ul,
         p_joint=p_dl * p_ul,
-        method=CoverageMethod.MONTE_CARLO,
         ci_dl=_Z95 * math.sqrt(var_dl),
         ci_ul=_Z95 * math.sqrt(var_ul),
         ci_joint=_Z95 * math.sqrt(max(var_joint, 0.0)),

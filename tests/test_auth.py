@@ -6,7 +6,6 @@ import pytest
 from raftguard.auth import (
     DEFAULT_PSI_MAX,
     AuthProfile,
-    error_probabilities,
     lq_db_to_sigma,
     p_fa_closed_form,
     p_md_closed_form,
@@ -14,7 +13,6 @@ from raftguard.auth import (
     p_mc_closed_form,
     roc_curve,
     sample_fingerprints,
-    sigma_to_lq_db,
     threshold_for_pfa,
 )
 from raftguard.geometry import DiskRegion
@@ -46,8 +44,11 @@ def test_lq_zero_db_is_unit_sigma():
 
 
 def test_lq_round_trip():
+    # LQ = 1/sigma^2 in dB, so sigma = 10^(-LQ/20)
+    assert lq_db_to_sigma(-10.0) == pytest.approx(math.sqrt(10.0), rel=1e-12)
+    assert lq_db_to_sigma(30.0) == pytest.approx(10.0**-1.5, rel=1e-12)
     for lq in (-10.0, 0.0, 7.5, 20.0, 30.0):
-        assert sigma_to_lq_db(lq_db_to_sigma(lq)) == pytest.approx(lq, abs=1e-12)
+        assert -20.0 * math.log10(lq_db_to_sigma(lq)) == pytest.approx(lq, abs=1e-12)
 
 
 def test_twenty_db_means_tenth():
@@ -256,17 +257,6 @@ def test_eve_priors_must_match_eve_count():
                        eve_priors=np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         p_md_closed_form(prof, [40.0, 45.0, 55.0])
-
-
-def test_error_probability_bundle_is_consistent():
-    gt, eve = shipped_realization()
-    prof = AuthProfile(ground_truth=gt, sigma=lq_db_to_sigma(10.0),
-                       epsilon=threshold_for_pfa(0.05, lq_db_to_sigma(10.0)))
-    bundle = error_probabilities(prof, eve)
-    assert bundle.p_fa == pytest.approx(0.05, abs=1e-10)
-    assert bundle.p_md == p_md_closed_form(prof, eve)
-    assert bundle.p_md_expected == p_md_expected(prof)
-    assert bundle.p_mc == p_mc_closed_form(prof)
 
 
 # --------------------------------------------------------------------- ROC

@@ -6,7 +6,6 @@ import pytest
 from raftguard.channel import (
     NetworkParams,
     db_to_linear,
-    linear_to_db,
     pathloss_db,
     rayleigh_coverage,
 )
@@ -14,13 +13,11 @@ from raftguard.geometry import AnnulusRegion, DiskRegion
 
 
 def test_db_round_trip():
-    for x in (0.001, 1.0, 42.0, 1e6):
-        assert db_to_linear(linear_to_db(x)) == pytest.approx(x, rel=1e-12)
-
-
-def test_linear_to_db_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        linear_to_db(0.0)
+    assert db_to_linear(30.0) == pytest.approx(1000.0, rel=1e-12)
+    assert db_to_linear(-30.0) == pytest.approx(0.001, rel=1e-12)
+    assert db_to_linear(0.0) == 1.0
+    for x_db in (-30.0, 0.0, 16.2, 60.0):
+        assert 10.0 * np.log10(db_to_linear(x_db)) == pytest.approx(x_db, abs=1e-12)
 
 
 def test_pathloss_hand_values():

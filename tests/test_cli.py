@@ -149,6 +149,25 @@ def test_validate_only_reports_ok(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_overrides_replace_bad_file_values(tmp_path, capsys):
+    cfg = base_config(tmp_path, n_trials=0, master_seed=-1)
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["--config", path, "--trials", "100", "--seed", "3", "--validate-only"]) == 0
+    assert "trials=100, seed=3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "must be >= 0"),
+    ("--trials", "0", "must be >= 1"),
+    ("--scenario", "bogus", "unknown scenario"),
+])
+def test_bad_override_names_the_flag(tmp_path, capsys, flag, value, message):
+    path = write_config(tmp_path, base_config(tmp_path))
+    assert cli.main(["--config", path, flag, value, "--validate-only"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {flag}: {message}")
+
+
 def test_inverted_annulus_rejected(tmp_path, capsys):
     cfg = base_config(tmp_path)
     cfg["params"]["annulus_inner_m"] = 200.0

@@ -8,11 +8,8 @@ from raftguard.coverage import (
     ORACLE_GRID,
     ORACLE_GRID_GAMMA,
     ORACLE_GRID_RHO_J,
-    CoverageMethod,
     CoverageResult,
-    coverage_dl,
     coverage_joint,
-    coverage_ul,
     laplace_interference,
 )
 from raftguard.geometry import AnnulusRegion
@@ -142,11 +139,9 @@ def test_closed_form_near_alpha_two(alpha, beta_db, gamma, band, r, expected):
 @pytest.mark.parametrize("call", [
     lambda: laplace_interference(100.0, 0.0, 0.01, RHO_J, 3.0, ANNULUS, method="bogus"),
     lambda: laplace_interference(100.0, 0.01, 0.01, 0.0, 3.0, ANNULUS, method="bogus"),
-    lambda: coverage_dl(NetworkParams(rho_j=0.0), method="bogus"),
-    lambda: coverage_ul(NetworkParams(rho_j=0.0), method="bogus"),
     lambda: coverage_joint(NetworkParams(rho_j=0.0), method="bogus"),
     lambda: coverage_joint(NetworkParams(), method="auto"),
-], ids=["laplace_beta0", "laplace_rho0", "dl", "ul", "joint", "joint_auto"])
+], ids=["laplace_beta0", "laplace_rho0", "joint", "joint_auto"])
 def test_unknown_method_rejected_before_shortcuts(call):
     with pytest.raises(ValueError, match="unknown method"):
         call()
@@ -188,8 +183,6 @@ def test_coverage_methods_agree():
     p = default_params(annulus=AnnulusRegion(50.0, 150.0))
     closed = coverage_joint(p, method="closed_form")
     quad = coverage_joint(p, method="quadrature")
-    assert closed.method is CoverageMethod.CLOSED_FORM
-    assert quad.method is CoverageMethod.QUADRATURE_ORACLE
     assert closed.p_joint == pytest.approx(quad.p_joint, abs=1e-6)
 
 
@@ -210,10 +203,10 @@ def test_coverage_decreases_with_jammer_power():
     # raising jammer power scales the interference term up
     base = default_params()
     vals = [
-        coverage_ul(NetworkParams(p_jammer_dbm=pj, beta_dl_db=-20.0, beta_ul_db=-20.0))
+        coverage_joint(NetworkParams(p_jammer_dbm=pj, beta_dl_db=-20.0, beta_ul_db=-20.0)).p_ul
         for pj in (0.0, 5.0, 10.0, 15.0, 20.0)
     ]
-    assert coverage_ul(base) == vals[2]
+    assert coverage_joint(base).p_ul == vals[2]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -234,17 +227,14 @@ def test_dl_beats_ul_at_equal_threshold():
 
 def test_result_rejects_inconsistent_joint():
     with pytest.raises(ValueError):
-        CoverageResult(p_dl=0.9, p_ul=0.9, p_joint=0.5, method=CoverageMethod.CLOSED_FORM)
+        CoverageResult(p_dl=0.9, p_ul=0.9, p_joint=0.5)
 
 
 def test_result_rejects_out_of_range():
     with pytest.raises(ValueError):
-        CoverageResult(p_dl=1.2, p_ul=0.9, p_joint=1.08, method=CoverageMethod.CLOSED_FORM)
+        CoverageResult(p_dl=1.2, p_ul=0.9, p_joint=1.08)
 
 
 def test_result_rejects_negative_ci():
     with pytest.raises(ValueError):
-        CoverageResult(
-            p_dl=0.5, p_ul=0.5, p_joint=0.25,
-            method=CoverageMethod.MONTE_CARLO, ci_dl=-0.1,
-        )
+        CoverageResult(p_dl=0.5, p_ul=0.5, p_joint=0.25, ci_dl=-0.1)

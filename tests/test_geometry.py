@@ -3,14 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import stats
 
 from raftguard.geometry import (
     AnnulusRegion,
     DiskRegion,
     annulus_radii,
     disk_radii,
-    distance_pdf,
     link_distances,
     uniform_disk_points,
 )
@@ -89,26 +88,6 @@ def test_zero_count_draws_are_empty():
     rng = np.random.default_rng(0)
     assert disk_radii(DiskRegion(500.0), 0, rng).shape == (0,)
     assert annulus_radii(AnnulusRegion(0.0, 300.0), 0, rng).shape == (0,)
-
-
-# ------------------------------------------------------------- distance pdf
-
-
-def test_distance_pdf_normalizes():
-    val, _ = integrate.quad(lambda r: distance_pdf(r, RHO), 0.0, 2000.0)
-    assert val == pytest.approx(1.0, abs=1e-9)
-
-
-def test_distance_pdf_mode():
-    # density 2*pi*rho*r*exp(-rho*pi*r^2) peaks at 1/sqrt(2*pi*rho)
-    mode = 1.0 / math.sqrt(2.0 * math.pi * RHO)
-    grid = np.linspace(1.0, 500.0, 2000)
-    assert grid[np.argmax(distance_pdf(grid, RHO))] == pytest.approx(mode, rel=1e-2)
-
-
-def test_distance_pdf_rejects_negative_distance():
-    with pytest.raises(ValueError):
-        distance_pdf(-1.0, RHO)
 
 
 # ------------------------------------------------------------ disk points

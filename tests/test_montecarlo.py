@@ -12,7 +12,7 @@ from scipy.stats import norm, poisson
 from raftguard import montecarlo
 from raftguard.auth import AuthProfile, lq_db_to_sigma, threshold_for_pfa
 from raftguard.channel import NetworkParams, rayleigh_coverage
-from raftguard.coverage import CoverageMethod, coverage_joint
+from raftguard.coverage import coverage_joint
 from raftguard.geometry import AnnulusRegion, annulus_radii, link_distances
 from raftguard.montecarlo import (
     CHUNK_SIZE,
@@ -85,7 +85,6 @@ def test_coverage_regression():
     assert res.p_joint == pytest.approx(0.9726957542470653, abs=1e-14)
     assert res.ci_ul == pytest.approx(0.0005474724804412978, rel=1e-10)
     assert res.ci_joint == pytest.approx(0.0007709094657247686, rel=1e-10)
-    assert res.method is CoverageMethod.MONTE_CARLO
 
 
 def test_consensus_regression():
