@@ -290,10 +290,11 @@ def build_config(data: dict, raw_text: str, overrides: dict | None = None) -> Ex
     if not isinstance(out, dict):
         errors.add("output", "expected an object")
         out = {}
-    out_path = overrides.get("output_path", out.get("path"))
+    out_path, path = ((overrides["output_path"], "--out") if "output_path" in overrides
+                      else (out.get("path"), "output.path"))
     out_format = overrides.get("output_format", out.get("format", "csv"))
     if not isinstance(out_path, str) or not out_path:
-        errors.add("output.path", "missing output path")
+        errors.add(path, "missing output path")
     if out_format not in ("csv", "json"):
         errors.add("output.format", f"expected 'csv' or 'json', got {out_format!r}")
 
@@ -552,11 +553,11 @@ def main(argv=None) -> int:
         overrides["master_seed"] = args.seed
     if args.trials is not None:
         overrides["n_trials"] = args.trials
-    if args.out:
+    if args.out is not None:
         overrides["output_path"] = args.out
-    if args.format:
+    if args.format is not None:
         overrides["output_format"] = args.format
-    if args.scenario:
+    if args.scenario is not None:
         overrides["scenario"] = args.scenario
 
     try:
@@ -584,7 +585,8 @@ def main(argv=None) -> int:
     try:
         write_rows(config.output_path, columns, rows, config.output_format)
     except OSError as exc:
-        print(f"config error: output.path: {exc}", file=sys.stderr)
+        flag = "--out" if "output_path" in overrides else "output.path"
+        print(f"config error: {flag}: {exc}", file=sys.stderr)
         return 2
 
     gap_col = "abs_gap" if "abs_gap" in columns else None

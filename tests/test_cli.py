@@ -160,12 +160,29 @@ def test_overrides_replace_bad_file_values(tmp_path, capsys):
     ("--seed", "-1", "must be >= 0"),
     ("--trials", "0", "must be >= 1"),
     ("--scenario", "bogus", "unknown scenario"),
+    ("--scenario", "", "unknown scenario"),
+    ("--out", "", "missing output path"),
 ])
 def test_bad_override_names_the_flag(tmp_path, capsys, flag, value, message):
     path = write_config(tmp_path, base_config(tmp_path))
     assert cli.main(["--config", path, flag, value, "--validate-only"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {flag}: {message}")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--scenario"])
+def test_empty_override_writes_nothing(tmp_path, capsys, flag):
+    # an explicit empty value is an error, not a fall-back to the file's value
+    path = write_config(tmp_path, base_config(tmp_path))
+    assert cli.main(["--config", path, "--trials", "10", flag, ""]) == 2
+    assert f"config error: {flag}: " in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_unwritable_out_names_the_flag(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(tmp_path))
+    assert cli.main(["--config", path, "--trials", "10", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: --out: ")
 
 
 def test_inverted_annulus_rejected(tmp_path, capsys):

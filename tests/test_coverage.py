@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import integrate
 
+from raftguard import coverage
 from raftguard.channel import NetworkParams, db_to_linear
 from raftguard.coverage import (
     ORACLE_GRID,
@@ -214,6 +217,53 @@ def test_coverage_decreases_with_jammer_intensity():
     lo = coverage_joint(default_params()).p_joint
     hi = coverage_joint(default_params(rho_j=2.0 * RHO_J)).p_joint
     assert hi < lo
+
+
+def _adaptive_direction(beta, gamma, p):
+    """The closed-form coverage integral over the link distance r,
+    truncated where the typical-distance density has exp(-30) of its
+    mass left, by adaptive quadrature in r."""
+    r_max = math.sqrt(30.0 / (math.pi * p.rho_t))
+
+    def integrand(r):
+        if r <= 0.0:
+            return 0.0
+        lap = laplace_interference(r, beta, gamma, p.rho_j, p.alpha, p.annulus)
+        return 2.0 * math.pi * p.rho_t * r * math.exp(-math.pi * p.rho_t * r * r) * lap
+
+    val, _ = integrate.quad(integrand, 0.0, r_max, epsabs=1e-13, epsrel=1e-13, limit=500)
+    return val
+
+
+@pytest.mark.parametrize("n", [16, 48, 96])
+def test_gauss_legendre_matches_numpy(n):
+    x, w = coverage._gauss_legendre(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    order = np.argsort(x)
+    assert np.abs(x[order] - ref_x).max() <= 1e-15
+    assert np.abs(w[order] - ref_w).max() <= 1e-14
+
+
+@pytest.mark.parametrize("alpha", [2.05, 2.5, 3.0, 5.0])
+def test_outer_rule_matches_adaptive_integral(alpha):
+    # bands at and away from the receiver, dense jammers and both leader
+    # powers: the fixed outer rule must match the adaptive integral of
+    # the same integrand, and its error estimate must not understate a
+    # gap that matters
+    base = NetworkParams()
+    for beta_db in (-30.0, -20.0, -10.0, 0.0, 10.0):
+        for band in ((0.0, 5.0), (0.0, 300.0), (5.0, 10.0), (20.0, 70.0), (250.0, 300.0)):
+            for rho_scale in (1.0, 8.0):
+                for p_leader_dbm in (20.0, 30.0):
+                    p = replace(base, alpha=alpha, beta_dl_db=beta_db, beta_ul_db=beta_db,
+                                annulus=AnnulusRegion(*band), rho_j=rho_scale * base.rho_j,
+                                p_leader_dbm=p_leader_dbm)
+                    res = coverage_joint(p)
+                    gap = max(abs(res.p_dl - _adaptive_direction(p.beta_dl, p.gamma_dl, p)),
+                              abs(res.p_ul - _adaptive_direction(p.beta_ul, p.gamma_ul, p)))
+                    assert gap <= 1e-10, (beta_db, band, rho_scale, p_leader_dbm)
+                    est = res.quadrature_error_estimate
+                    assert est >= gap or est <= 1e-10, (beta_db, band, rho_scale, p_leader_dbm)
 
 
 def test_dl_beats_ul_at_equal_threshold():

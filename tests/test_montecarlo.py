@@ -1,7 +1,9 @@
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +255,48 @@ def test_import_does_not_load_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+RUN_WITHOUT_INTEGRATE = """
+import sys
+import numpy as np
+from raftguard import cli
+from raftguard.auth import AuthProfile
+from raftguard.channel import NetworkParams
+from raftguard.coverage import coverage_joint
+from raftguard.montecarlo import (
+    TrialConfig, estimate_coverage, simulate_auth, simulate_consensus,
+)
+
+p = NetworkParams()
+coverage_joint(p)
+estimate_coverage(TrialConfig(p, 500, 1))
+simulate_consensus(TrialConfig(p, 500, 2))
+simulate_auth(AuthProfile(ground_truth=np.array([43.3, 57.6, 62.6]), sigma=0.3, epsilon=1.0),
+              "legit", 500, 3)
+assert cli.main(["--config", sys.argv[1], "--trials", "200", "--out", sys.argv[2]]) == 0
+print(sorted(m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules))
+coverage_joint(p, method="quadrature")
+print("scipy.integrate" in sys.modules)
+"""
+
+
+def test_runs_do_not_load_scipy_integrate(tmp_path):
+    # scipy.integrate drags in scipy.optimize, scipy.linalg and scipy.fft:
+    # about 0.4 s and 25 MiB per process, so only the quadrature oracle loads it
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, RAFTGUARD_WORKERS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", RUN_WITHOUT_INTEGRATE,
+         str(root / "configs" / "coverage_vs_beta.json"), str(tmp_path / "sweep.csv")],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    lines = out.stdout.strip().splitlines()
+    assert lines[-2] == "[]"
+    assert lines[-1] == "True"
+    assert (tmp_path / "sweep.csv").read_text().count("\n") == 17
 
 
 # -------------------------------------------------------------- validation
