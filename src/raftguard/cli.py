@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -54,14 +55,6 @@ AUTH_COLUMNS = [
 ]
 ROC_COLUMNS = ["p_fa", "epsilon", "p_d_cf", "p_d_mc"]
 
-_PARAM_KEYS = {
-    "p_leader_dbm", "p_follower_dbm", "p_jammer_dbm",
-    "alpha", "beta_dl_db", "beta_ul_db",
-    "rho_t", "rho_j",
-    "disk_radius_m", "annulus_inner_m", "annulus_outer_m",
-}
-_AUTH_KEYS = {"m", "n_eves", "profile_seed", "epsilon_db", "lq_db"}
-
 
 class PointFailure(Exception):
     """A numeric failure while evaluating one sweep point."""
@@ -75,8 +68,8 @@ class PointFailure(Exception):
 
 class ConfigError(Exception):
     """Config parse or validation failure; carries one diagnostic per
-    offending key, each anchored to a config file line when the key can
-    be located in the raw text."""
+    offending key, each named by the flag that replaced the key, or else
+    anchored to the config file line where the key appears."""
 
     def __init__(self, diagnostics: list[str]):
         super().__init__("; ".join(diagnostics))
@@ -119,192 +112,200 @@ class ExperimentConfig:
 
 # ------------------------------------------------------------- validation
 
+_REQUIRED = object()  # the default of a key the config must give
+_DEFAULT_PARAMS = NetworkParams()
+
+# Every scalar config key: section -> key -> (type, minimum, default),
+# in the order they are checked; "" is the top level.
+_SCALARS = {
+    "": {"n_trials": (int, 1, _REQUIRED), "master_seed": (int, 0, _REQUIRED)},
+    "sweep": {key: (float, None, _REQUIRED) for key in ("start", "stop", "step")},
+    "params": {
+        **{key: (float, None, getattr(_DEFAULT_PARAMS, key)) for key in (
+            "p_leader_dbm", "p_follower_dbm", "p_jammer_dbm",
+            "alpha", "beta_dl_db", "beta_ul_db", "rho_t", "rho_j")},
+        "disk_radius_m": (float, None, _DEFAULT_PARAMS.disk.radius),
+        "annulus_inner_m": (float, None, _DEFAULT_PARAMS.annulus.inner),
+        "annulus_outer_m": (float, None, _DEFAULT_PARAMS.annulus.outer),
+    },
+    "auth": {
+        "m": (int, 1, _REQUIRED),
+        "n_eves": (int, 1, _REQUIRED),
+        "profile_seed": (int, 0, _REQUIRED),
+        "epsilon_db": (float, 0, 1.0),
+        "lq_db": (float, None, 10.0),
+    },
+}
+# the JSON values each type accepts, and its name in a diagnostic
+_KINDS = {int: (int, "an integer"), float: ((int, float), "a number")}
+# what an unknown key is called in each section that rejects one;
+# ``sweep`` and ``output`` ignore keys they do not use
+_UNKNOWN = {"": "top-level", "params": "parameter", "auth": "auth"}
+
+# CLI override -> (the config key it replaces, its flag)
+_OVERRIDES = {
+    "scenario": ("scenario", "--scenario"),
+    "n_trials": ("n_trials", "--trials"),
+    "master_seed": ("master_seed", "--seed"),
+    "output_path": ("output.path", "--out"),
+    "output_format": ("output.format", "--format"),
+}
+
 
 class _Collector:
-    """Accumulates key-path-anchored diagnostics against the raw text."""
+    """Accumulates diagnostics, each named by the flag that replaced its
+    key, or else anchored to the line where the key appears in the raw
+    text."""
 
-    def __init__(self, raw: str):
-        self.raw_lines = raw.splitlines()
+    def __init__(self, raw: str, overrides: dict):
+        self.raw = raw
+        self.flags = {path: flag for key, (path, flag) in _OVERRIDES.items() if key in overrides}
         self.errors: list[str] = []
 
     def add(self, path: str, message: str) -> None:
-        line = self._line_of(path.split(".")[-1])
-        anchor = f"line {line}: " if line else ""
-        self.errors.append(f"{anchor}{path}: {message}")
-
-    def _line_of(self, key: str):
-        needle = f'"{key}"'
-        for i, line in enumerate(self.raw_lines, 1):
-            if needle in line:
-                return i
-        return None
-
-    def raise_if_any(self) -> None:
-        if self.errors:
-            raise ConfigError(self.errors)
+        key = re.escape(path.split(".")[-1])
+        found = path not in self.flags and re.search(rf'"{key}"\s*:', self.raw)
+        anchor = f"line {self.raw.count(chr(10), 0, found.start()) + 1}: " if found else ""
+        self.errors.append(f"{anchor}{self.flags.get(path, path)}: {message}")
 
 
-def _number(data, key, path, errors, *, required=True, default=None):
-    if key not in data:
-        if required:
-            errors.add(path, "missing required key")
-        return default
-    v = data[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        errors.add(path, f"expected a number, got {type(v).__name__}")
-        return default
-    return float(v)
+def _with_overrides(data: dict, overrides: dict) -> dict:
+    """A copy of the config with each override written over its key."""
+    doc = dict(data)
+    for key, (path, _) in _OVERRIDES.items():
+        if key in overrides:
+            section, _, leaf = path.rpartition(".")
+            if section:
+                block = doc.get(section)
+                doc[section] = {**(block if isinstance(block, dict) else {}), leaf: overrides[key]}
+            else:
+                doc[leaf] = overrides[key]
+    return doc
 
 
-def _integer(data, key, path, errors, *, required=True, default=None, minimum=None):
-    if key not in data:
-        if required:
-            errors.add(path, "missing required key")
-        return default
-    v = data[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        errors.add(path, f"expected an integer, got {type(v).__name__}")
-        return default
-    if minimum is not None and v < minimum:
-        errors.add(path, f"must be >= {minimum}, got {v}")
-        return default
-    return v
-
-
-def _build_params(data, errors) -> NetworkParams | None:
-    raw = data.get("params", {})
+def _section(data: dict, name: str, errors: _Collector) -> dict | None:
+    """Section ``name`` of ``data`` (``data`` itself for the top level)
+    checked against ``_SCALARS``: its unknown keys rejected where
+    ``_UNKNOWN`` says so, each scalar's type and minimum checked, and
+    absent keys given their defaults.  None if the section is not an
+    object or any of its keys failed."""
+    raw = data.get(name, {}) if name else data
     if not isinstance(raw, dict):
-        errors.add("params", "expected an object")
+        errors.add(name, "expected an object")
         return None
+    table = _SCALARS[name]
+    prefix = f"{name}." if name else ""
     n_before = len(errors.errors)
-    for key in raw:
-        if key not in _PARAM_KEYS:
-            errors.add(f"params.{key}", "unknown parameter key")
-    kwargs = {}
-    for key in ("p_leader_dbm", "p_follower_dbm", "p_jammer_dbm",
-                "alpha", "beta_dl_db", "beta_ul_db", "rho_t", "rho_j"):
-        if key in raw:
-            v = _number(raw, key, f"params.{key}", errors, required=False)
-            if v is not None:
-                kwargs[key] = v
-    disk_r = _number(raw, "disk_radius_m", "params.disk_radius_m", errors, required=False)
-    inner = _number(raw, "annulus_inner_m", "params.annulus_inner_m", errors, required=False)
-    outer = _number(raw, "annulus_outer_m", "params.annulus_outer_m", errors, required=False)
-    if len(errors.errors) > n_before:
-        return None
+    if name in _UNKNOWN:
+        known = set(table)
+        if not name:
+            # the top level also holds the sections and two keys checked by hand
+            known |= {"scenario", "output", *_SCALARS} - {""}
+        for key in raw:
+            if key not in known:
+                errors.add(prefix + key, f"unknown {_UNKNOWN[name]} key")
+    values = {}
+    for key, (kind, minimum, default) in table.items():
+        if key not in raw:
+            if default is _REQUIRED:
+                errors.add(prefix + key, "missing required key")
+            values[key] = default
+            continue
+        v = raw[key]
+        accepts, what = _KINDS[kind]
+        if isinstance(v, bool) or not isinstance(v, accepts):
+            errors.add(prefix + key, f"expected {what}, got {type(v).__name__}")
+        elif minimum is not None and kind(v) < minimum:
+            errors.add(prefix + key, f"must be >= {minimum}, got {kind(v)}")
+        else:
+            values[key] = kind(v)
+    return values if len(errors.errors) == n_before else None
+
+
+def _network_params(values: dict, errors: _Collector) -> NetworkParams | None:
+    """The network parameters of the checked ``params`` scalars."""
     try:
-        if disk_r is not None:
-            kwargs["disk"] = DiskRegion(disk_r)
-        if inner is not None or outer is not None:
-            base = NetworkParams().annulus
-            a_in = inner if inner is not None else base.inner
-            a_out = outer if outer is not None else base.outer
-            try:
-                kwargs["annulus"] = AnnulusRegion(a_in, a_out)
-            except ValueError as exc:
-                errors.add("params.annulus_inner_m", f"invalid annulus: {exc}")
-                return None
-        return NetworkParams(**kwargs)
+        disk = DiskRegion(values.pop("disk_radius_m"))
+        try:
+            annulus = AnnulusRegion(values.pop("annulus_inner_m"), values.pop("annulus_outer_m"))
+        except ValueError as exc:
+            errors.add("params.annulus_inner_m", f"invalid annulus: {exc}")
+            return None
+        return NetworkParams(**values, disk=disk, annulus=annulus)
     except ValueError as exc:
         errors.add("params", str(exc))
         return None
 
 
-def _build_auth(data, errors, required) -> AuthSettings | None:
-    raw = data.get("auth")
-    if raw is None:
-        if required:
-            errors.add("auth", "this scenario requires an auth block")
-        return None
-    if not isinstance(raw, dict):
-        errors.add("auth", "expected an object")
-        return None
-    for key in raw:
-        if key not in _AUTH_KEYS:
-            errors.add(f"auth.{key}", "unknown auth key")
-    m = _integer(raw, "m", "auth.m", errors, minimum=1)
-    n_eves = _integer(raw, "n_eves", "auth.n_eves", errors, minimum=1)
-    seed = _integer(raw, "profile_seed", "auth.profile_seed", errors, minimum=0)
-    eps = _number(raw, "epsilon_db", "auth.epsilon_db", errors, required=False, default=1.0)
-    lq = _number(raw, "lq_db", "auth.lq_db", errors, required=False, default=10.0)
-    if None in (m, n_eves, seed) or eps is None or lq is None:
-        return None
-    if eps < 0.0:
-        errors.add("auth.epsilon_db", f"must be >= 0, got {eps}")
-        return None
-    return AuthSettings(m=m, n_eves=n_eves, profile_seed=seed, epsilon_db=eps, lq_db=lq)
-
-
 def build_config(data: dict, raw_text: str, overrides: dict | None = None) -> ExperimentConfig:
-    """Validate a parsed config dict (plus CLI overrides) into an
-    ExperimentConfig, raising ConfigError with every problem found."""
-    errors = _Collector(raw_text)
+    """Validate a parsed config dict, with the CLI overrides written over
+    the keys they replace, into an ExperimentConfig, raising ConfigError
+    with every problem found."""
     overrides = overrides or {}
-    known_top = {"scenario", "sweep", "n_trials", "master_seed", "output", "params", "auth"}
-    for key in data:
-        if key not in known_top:
-            errors.add(key, "unknown top-level key")
+    errors = _Collector(raw_text, overrides)
+    doc = _with_overrides(data, overrides)
 
-    # a CLI override is validated in place of the file's value, under the flag's name
-    src, path = (overrides, "--scenario") if "scenario" in overrides else (data, "scenario")
-    scenario = src.get("scenario")
+    scenario = doc.get("scenario")
     if scenario is None:
-        errors.add(path, "missing required key")
+        errors.add("scenario", "missing required key")
     elif not isinstance(scenario, str) or scenario not in SCENARIOS:
-        errors.add(path, f"unknown scenario {scenario!r}; "
+        errors.add("scenario", f"unknown scenario {scenario!r}; "
                    f"expected one of {sorted(SCENARIOS)}")
         scenario = None
     spec = SCENARIOS.get(scenario)
 
     sweep = None
-    raw_sweep = data.get("sweep")
-    if not isinstance(raw_sweep, dict):
+    if not isinstance(doc.get("sweep"), dict):
         errors.add("sweep", "missing or malformed sweep object")
     else:
-        var = raw_sweep.get("variable")
-        start = _number(raw_sweep, "start", "sweep.start", errors)
-        stop = _number(raw_sweep, "stop", "sweep.stop", errors)
-        step = _number(raw_sweep, "step", "sweep.step", errors)
+        bounds = _section(doc, "sweep", errors)
+        var = doc["sweep"].get("variable")
         if not isinstance(var, str):
             errors.add("sweep.variable", "missing sweep variable name")
         elif spec and var != spec.variable:
             errors.add("sweep.variable",
                        f"scenario {scenario} sweeps {spec.variable!r}, got {var!r}")
-        if None not in (start, stop, step) and isinstance(var, str):
-            if step <= 0.0:
-                errors.add("sweep.step", f"must be > 0, got {step}")
-            elif start > stop:
-                errors.add("sweep.start", f"start {start} exceeds stop {stop}")
+        if bounds is not None and isinstance(var, str):
+            if bounds["step"] <= 0.0:
+                errors.add("sweep.step", f"must be > 0, got {bounds['step']}")
+            elif bounds["start"] > bounds["stop"]:
+                errors.add("sweep.start",
+                           f"start {bounds['start']} exceeds stop {bounds['stop']}")
             else:
-                sweep = SweepSpec(variable=var, start=start, stop=stop, step=step)
+                sweep = SweepSpec(variable=var, **bounds)
     domain_error = spec.domain_error(sweep) if sweep and spec else None
     if domain_error:
         errors.add("sweep.start", domain_error)
 
-    src, path = (overrides, "--trials") if "n_trials" in overrides else (data, "n_trials")
-    n_trials = _integer(src, "n_trials", path, errors, minimum=1)
-    src, path = (overrides, "--seed") if "master_seed" in overrides else (data, "master_seed")
-    master_seed = _integer(src, "master_seed", path, errors, minimum=0)
+    top = _section(doc, "", errors)
 
-    out = data.get("output", {})
-    if not isinstance(out, dict):
+    if not isinstance(data.get("output", {}), dict):
         errors.add("output", "expected an object")
-        out = {}
-    out_path, path = ((overrides["output_path"], "--out") if "output_path" in overrides
-                      else (out.get("path"), "output.path"))
-    out_format = overrides.get("output_format", out.get("format", "csv"))
+    # a flag's value stands even where the file's output block is malformed
+    out = doc["output"] if isinstance(doc.get("output"), dict) else {}
+    out_path = out.get("path")
+    out_format = out.get("format", "csv")
     if not isinstance(out_path, str) or not out_path:
-        errors.add(path, "missing output path")
+        errors.add("output.path", "missing output path")
     if out_format not in ("csv", "json"):
         errors.add("output.format", f"expected 'csv' or 'json', got {out_format!r}")
 
-    params = _build_params(data, errors)
-    auth = _build_auth(data, errors, required=spec is not None and spec.needs_auth)
+    scalars = _section(doc, "params", errors)
+    params = scalars and _network_params(scalars, errors)
 
-    errors.raise_if_any()
+    auth = None
+    if doc.get("auth") is None:
+        if spec is not None and spec.needs_auth:
+            errors.add("auth", "this scenario requires an auth block")
+    else:
+        scalars = _section(doc, "auth", errors)
+        auth = scalars and AuthSettings(**scalars)
+
+    if errors.errors:
+        raise ConfigError(errors.errors)
     return ExperimentConfig(
         scenario=scenario, params=params, sweep=sweep,
-        n_trials=n_trials, master_seed=master_seed,
+        n_trials=top["n_trials"], master_seed=top["master_seed"],
         output_path=out_path, output_format=out_format, auth=auth,
     )
 
@@ -410,10 +411,6 @@ def _roc_row(config: ExperimentConfig, index: int, value: float) -> dict:
     }
 
 
-def _any_sweep(sweep: SweepSpec) -> str | None:
-    return None
-
-
 def _probability_sweep(sweep: SweepSpec) -> str | None:
     if sweep.start <= 0.0 or sweep.stop >= 1.0:
         return "false-alarm targets must lie strictly inside (0, 1)"
@@ -437,7 +434,7 @@ class Scenario:
     columns: list[str]
     row: Callable[[ExperimentConfig, int, float], dict]
     needs_auth: bool = False
-    domain_error: Callable[[SweepSpec], str | None] = _any_sweep
+    domain_error: Callable[[SweepSpec], str | None] = lambda sweep: None
     point: Callable[[NetworkParams, float], NetworkParams] | None = None
 
 
@@ -478,18 +475,15 @@ def _worker_count(n_points: int) -> int:
     return max(1, min(requested, cap))
 
 
-def _evaluate_point_star(args) -> dict:
-    return _evaluate_point(*args)
-
-
 def evaluate(config: ExperimentConfig) -> list[dict]:
     """All sweep rows, in sweep order regardless of worker scheduling."""
-    tasks = [(config, i, v) for i, v in enumerate(config.sweep.values())]
-    workers = _worker_count(len(tasks))
+    values = config.sweep.values()
+    workers = _worker_count(len(values))
+    args = ([config] * len(values), range(len(values)), values)
     if workers == 1:
-        return [_evaluate_point_star(t) for t in tasks]
+        return list(map(_evaluate_point, *args))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_evaluate_point_star, tasks))
+        return list(pool.map(_evaluate_point, *args))
 
 
 # ----------------------------------------------------------------- output
@@ -530,10 +524,14 @@ def _parser() -> argparse.ArgumentParser:
                     "and Monte Carlo columns side by side.",
     )
     p.add_argument("--config", required=True, help="JSON experiment config")
-    p.add_argument("--seed", type=int, help="override master_seed")
-    p.add_argument("--trials", type=int, help="override n_trials")
-    p.add_argument("--out", help="override output path")
-    p.add_argument("--format", choices=("csv", "json"), help="override output format")
+    # each override's dest is its key in _OVERRIDES
+    p.add_argument("--seed", dest="master_seed", metavar="SEED", type=int,
+                   help="override master_seed")
+    p.add_argument("--trials", dest="n_trials", metavar="TRIALS", type=int,
+                   help="override n_trials")
+    p.add_argument("--out", dest="output_path", metavar="OUT", help="override output path")
+    p.add_argument("--format", dest="output_format", choices=("csv", "json"),
+                   help="override output format")
     p.add_argument("--scenario", help="override scenario name")
     p.add_argument("--validate-only", action="store_true",
                    help="parse and validate the config, run nothing")
@@ -548,18 +546,7 @@ def _report_config_error(exc: ConfigError) -> int:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.trials is not None:
-        overrides["n_trials"] = args.trials
-    if args.out is not None:
-        overrides["output_path"] = args.out
-    if args.format is not None:
-        overrides["output_format"] = args.format
-    if args.scenario is not None:
-        overrides["scenario"] = args.scenario
-
+    overrides = {key: getattr(args, key) for key in _OVERRIDES if getattr(args, key) is not None}
     try:
         config = load_config(args.config, overrides)
     except ConfigError as exc:
@@ -585,9 +572,9 @@ def main(argv=None) -> int:
     try:
         write_rows(config.output_path, columns, rows, config.output_format)
     except OSError as exc:
-        flag = "--out" if "output_path" in overrides else "output.path"
-        print(f"config error: {flag}: {exc}", file=sys.stderr)
-        return 2
+        errors = _Collector("", overrides)
+        errors.add("output.path", str(exc))
+        return _report_config_error(ConfigError(errors.errors))
 
     gap_col = "abs_gap" if "abs_gap" in columns else None
     note = ""

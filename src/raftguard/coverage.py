@@ -24,6 +24,7 @@ from scipy.special import hyp2f1
 
 from raftguard.channel import NetworkParams
 from raftguard.geometry import AnnulusRegion
+from raftguard.specfun import gauss_legendre
 
 __all__ = [
     "CoverageResult",
@@ -205,31 +206,6 @@ def laplace_interference(
     return float(lap) if lap.ndim == 0 else lap
 
 
-def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
-    p0, p1 = np.ones_like(x), x
-    for k in range(2, n + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    return p1, n * (x * p1 - p0) / (x * x - 1.0)
-
-
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
-
-    Newton's method on P_n from the standard cosine guesses, not
-    ``np.polynomial.legendre.leggauss``: its eigenvalue solve at n = 96
-    wakes OpenBLAS's thread pool, whose idle spinning cost every forked
-    pool worker about 0.1 s of CPU (OpenBLAS 0.3.31 on a 2-CPU x86-64
-    machine).
-    """
-    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
-    for _ in range(5):
-        p, dp = _legendre(n, x)
-        x = x - p / dp
-    _, dp = _legendre(n, x)
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
-
-
 @functools.cache
 def _outer_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Link-distance nodes, as fractions of the truncation radius, of
@@ -239,13 +215,12 @@ def _outer_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     With v = pi*rho_t*r^2 the coverage integral is the integral of
     exp(-v) L over v in [0, T]; the map v = T*s^4 turns it into a smooth
     integrand on s in [0, 1], flattening the v^(alpha/2) behaviour of L
-    at r -> 0, and puts the nodes at r/r_max = s^2.  Built on first use,
-    like ``montecarlo._disk_rule``.
+    at r -> 0, and puts the nodes at r/r_max = s^2.  Built on first use.
     """
     t = _OUTER_TAIL_EXPONENT
     nodes, weights = [], []
     for n in (_OUTER_NODES, _OUTER_NODES // 2):
-        x, w = _gauss_legendre(n)
+        x, w = gauss_legendre(n)
         s = 0.5 * (x + 1.0)
         nodes.append(s * s)
         weights.append(0.5 * w * 4.0 * t * s**3 * np.exp(-t * s**4))

@@ -20,7 +20,6 @@ Wireless Networks, 2012).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +30,7 @@ from raftguard.auth import AuthProfile
 from raftguard.channel import NetworkParams, rayleigh_coverage
 from raftguard.coverage import CoverageResult
 from raftguard.geometry import annulus_radii, link_distances
-from raftguard.specfun import q_inverse
+from raftguard.specfun import gauss_legendre, q_inverse
 
 __all__ = [
     "TrialConfig",
@@ -46,16 +45,19 @@ CHUNK_SIZE = 4096
 _Z95 = q_inverse(0.025)
 
 
-@functools.cache
 def _disk_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 16-node Gauss-Legendre rule in
-    u = (r/R)^2 on [0, 1].  The disk's area element is pi R^2 du, so the
-    weights (summing to 1) average a radial function over the disk.
-    Built on first use: the eigenvalue solve behind it costs about a
-    mebibyte of resident memory that only the consensus engine needs.
+    """Nodes, as fractions of the disk radius R, and weights of a 16-node
+    Gauss-Legendre rule that averages a radial function over the disk.
+
+    The disk's area element is pi R^2 du with u = (r/R)^2 on [0, 1], so
+    weights summing to 1 average over the disk.  The map u = s^4
+    (weight 4 s^3), the one the outer coverage rule uses, puts nodes at
+    r/R = s^2 down to about 3e-5, where coverage confined near the leader
+    lives.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+    x, w = gauss_legendre(16)
+    s = 0.5 * (x + 1.0)
+    return s * s, 2.0 * w * s**3
 
 
 @dataclass(frozen=True)
@@ -81,11 +83,9 @@ class ConsensusOutcome:
     ``ci_halfwidth`` is the 95 % sample-variance half-width over the
     per-trial conditional probabilities.  ``mean_followers`` is the
     expected follower count rho_t * |disk|, and ``mean_successes`` the
-    trial average of the expected count of two-way covered followers.
-    That count comes from the 16-node disk rule, whose first node sits
-    at about 0.073 R, so it is coarse when coverage is confined near the
-    leader; ``p_consensus`` is not affected, being tiny wherever the
-    count is.
+    trial average of the expected count of two-way covered followers,
+    from a 16-node disk rule whose nodes crowd toward the leader, so
+    that coverage confined near the leader is still resolved.
     """
 
     p_consensus: float
@@ -211,15 +211,15 @@ def simulate_consensus(config: TrialConfig) -> ConsensusOutcome:
     followers are independent Poisson counts S and U with means
     Lambda_s = rho_t * integral over the disk of p_dl * p_ul and
     Lambda_u = rho_t * integral of (1 - p_dl * p_ul), integrated by a
-    16-node Gauss-Legendre rule in (r/R)^2.  The trial's value is
-    P(S > U) = chndtr(2 Lambda_s, 2, 2 Lambda_u), which fails rounds
-    with no follower and exact ties.
+    16-node Gauss-Legendre rule in s with (r/R)^2 = s^4.  The trial's
+    value is P(S > U) = chndtr(2 Lambda_s, 2, 2 Lambda_u), which fails
+    rounds with no follower and exact ties.
     """
     p = config.params
     lam_t = p.rho_t * p.disk.area
     beta_gamma = (p.beta_dl * p.gamma_dl, p.beta_ul * p.gamma_ul)
-    disk_u, disk_w = _disk_rule()
-    node_r = p.disk.radius * np.sqrt(disk_u)
+    disk_r, disk_w = _disk_rule()
+    node_r = p.disk.radius * disk_r
     consensus = _TrialMean()
     successes = 0.0
     for size, rng in _chunks(config.n_trials, config.master_seed):

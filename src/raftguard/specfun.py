@@ -1,9 +1,12 @@
 """The Gaussian tail probability and its inverse, used by the
-authentication closed forms.
+authentication closed forms, and the Gauss-Legendre rule behind the
+coverage integral over the link distance and the consensus engine's
+average over the disk.
 
-The test suite validates both against an independent oracle:
-numerical integration of the Gaussian tail.  The Gauss hypergeometric
-function of the coverage closed form is ``scipy.special.hyp2f1``.
+The test suite validates the tail and its inverse against an
+independent oracle: numerical integration of the Gaussian tail.  The
+Gauss hypergeometric function of the coverage closed form is
+``scipy.special.hyp2f1``.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import numpy as np
 from scipy.special import erfc, ndtri
 
 __all__ = [
+    "gauss_legendre",
     "q_function",
     "q_inverse",
 ]
@@ -44,3 +48,28 @@ def q_inverse(p: float) -> float:
         raise ValueError(f"q_inverse requires 0 < p < 1, got {p}")
     # -ndtri(0.5) is -0.0; adding +0.0 makes it +0.0 and changes nothing else
     return float(-ndtri(p)) + 0.0
+
+
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on P_n from the standard cosine guesses, not
+    ``np.polynomial.legendre.leggauss``: its eigenvalue solve at n = 96
+    wakes OpenBLAS's thread pool, whose idle spinning cost every forked
+    pool worker about 0.1 s of CPU (OpenBLAS 0.3.31 on a 2-CPU x86-64
+    machine).
+    """
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(5):
+        p, dp = _legendre(n, x)
+        x = x - p / dp
+    _, dp = _legendre(n, x)
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)

@@ -214,6 +214,59 @@ def test_unknown_keys_rejected(tmp_path, capsys):
     assert "alpa" in capsys.readouterr().err
 
 
+def auth_config(tmp_path, **auth):
+    cfg = base_config(tmp_path, scenario="auth_errors_vs_lq")
+    cfg["sweep"] = {"variable": "lq_db", "start": 0.0, "stop": 10.0, "step": 5.0}
+    cfg["auth"] = {"m": 5, "n_eves": 5, "profile_seed": 28294, **auth}
+    return cfg
+
+
+def line_of(path, key):
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    return next(i for i, ln in enumerate(lines, 1) if ln.lstrip().startswith(f'"{key}":'))
+
+
+def test_anchor_is_the_line_of_the_key_not_of_a_value(tmp_path, capsys):
+    # "lq_db" is also the sweep variable's value, several lines earlier
+    path = write_config(tmp_path, auth_config(tmp_path, lq_db="high"))
+    assert cli.main(["--config", path, "--validate-only"]) == 2
+    line = line_of(path, "lq_db")
+    assert line > line_of(path, "variable")
+    assert capsys.readouterr().err == (
+        f"config error: line {line}: auth.lq_db: expected a number, got str\n")
+
+
+SCALARS = [pytest.param(section, key, spec, id=f"{section or 'top'}.{key}")
+           for section, table in cli._SCALARS.items() for key, spec in table.items()]
+BOUNDED = [case for case in SCALARS if case.values[2][1] is not None]
+
+
+def schema_case(tmp_path, section, key, value):
+    cfg = auth_config(tmp_path)
+    (cfg[section] if section else cfg)[key] = value
+    path = write_config(tmp_path, cfg)
+    name = f"{section}.{key}" if section else key
+    return path, f"config error: line {line_of(path, key)}: {name}: "
+
+
+@pytest.mark.parametrize("section, key, spec", SCALARS)
+def test_every_scalar_key_rejects_a_wrong_type(tmp_path, capsys, section, key, spec):
+    path, prefix = schema_case(tmp_path, section, key, "wrong")
+    assert cli.main(["--config", path, "--validate-only"]) == 2
+    what = "an integer" if spec[0] is int else "a number"
+    assert capsys.readouterr().err == f"{prefix}expected {what}, got str\n"
+
+
+@pytest.mark.parametrize("section, key, spec", BOUNDED)
+def test_every_bounded_key_rejects_a_value_below_its_minimum(tmp_path, capsys, section, key, spec):
+    kind, minimum, _ = spec
+    value = minimum - 1 if kind is int else minimum - 0.5
+    path, prefix = schema_case(tmp_path, section, key, value)
+    assert cli.main(["--config", path, "--validate-only"]) == 2
+    assert capsys.readouterr().err == f"{prefix}must be >= {minimum}, got {kind(value)}\n"
+
+
 @pytest.mark.parametrize("scenario", ["coverage_vs_nothing", ["roc"]])
 def test_unknown_scenario_rejected(tmp_path, capsys, scenario):
     cfg = base_config(tmp_path, scenario=scenario)

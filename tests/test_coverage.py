@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from raftguard import coverage
 from raftguard.channel import NetworkParams, db_to_linear
 from raftguard.coverage import (
     ORACLE_GRID,
@@ -16,6 +15,7 @@ from raftguard.coverage import (
     laplace_interference,
 )
 from raftguard.geometry import AnnulusRegion
+from raftguard.specfun import gauss_legendre
 
 RHO_J = 15.0 / (math.pi * 500.0**2)
 ANNULUS = AnnulusRegion(0.0, 300.0)
@@ -237,7 +237,7 @@ def _adaptive_direction(beta, gamma, p):
 
 @pytest.mark.parametrize("n", [16, 48, 96])
 def test_gauss_legendre_matches_numpy(n):
-    x, w = coverage._gauss_legendre(n)
+    x, w = gauss_legendre(n)
     ref_x, ref_w = np.polynomial.legendre.leggauss(n)
     order = np.argsort(x)
     assert np.abs(x[order] - ref_x).max() <= 1e-15
