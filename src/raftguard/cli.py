@@ -83,10 +83,14 @@ class SweepSpec:
     stop: float
     step: float
 
+    def count(self) -> int:
+        """The number of sweep points, without listing them."""
+        # inclusive endpoint with a guard against float drift; a span past
+        # the float range is capped so that it still compares as too many
+        return math.floor(min((self.stop - self.start) / self.step + 1e-9, sys.maxsize)) + 1
+
     def values(self) -> list[float]:
-        # inclusive endpoint with a half-step guard against float drift
-        count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return [self.start + i * self.step for i in range(count)]
+        return [self.start + i * self.step for i in range(self.count())]
 
 
 @dataclass(frozen=True)
@@ -110,222 +114,7 @@ class ExperimentConfig:
     auth: AuthSettings | None = None
 
 
-# ------------------------------------------------------------- validation
-
-_REQUIRED = object()  # the default of a key the config must give
-_DEFAULT_PARAMS = NetworkParams()
-
-# Every scalar config key: section -> key -> (type, minimum, default),
-# in the order they are checked; "" is the top level.
-_SCALARS = {
-    "": {"n_trials": (int, 1, _REQUIRED), "master_seed": (int, 0, _REQUIRED)},
-    "sweep": {key: (float, None, _REQUIRED) for key in ("start", "stop", "step")},
-    "params": {
-        **{key: (float, None, getattr(_DEFAULT_PARAMS, key)) for key in (
-            "p_leader_dbm", "p_follower_dbm", "p_jammer_dbm",
-            "alpha", "beta_dl_db", "beta_ul_db", "rho_t", "rho_j")},
-        "disk_radius_m": (float, None, _DEFAULT_PARAMS.disk.radius),
-        "annulus_inner_m": (float, None, _DEFAULT_PARAMS.annulus.inner),
-        "annulus_outer_m": (float, None, _DEFAULT_PARAMS.annulus.outer),
-    },
-    "auth": {
-        "m": (int, 1, _REQUIRED),
-        "n_eves": (int, 1, _REQUIRED),
-        "profile_seed": (int, 0, _REQUIRED),
-        "epsilon_db": (float, 0, 1.0),
-        "lq_db": (float, None, 10.0),
-    },
-}
-# the JSON values each type accepts, and its name in a diagnostic
-_KINDS = {int: (int, "an integer"), float: ((int, float), "a number")}
-# what an unknown key is called in each section that rejects one;
-# ``sweep`` and ``output`` ignore keys they do not use
-_UNKNOWN = {"": "top-level", "params": "parameter", "auth": "auth"}
-
-# CLI override -> (the config key it replaces, its flag)
-_OVERRIDES = {
-    "scenario": ("scenario", "--scenario"),
-    "n_trials": ("n_trials", "--trials"),
-    "master_seed": ("master_seed", "--seed"),
-    "output_path": ("output.path", "--out"),
-    "output_format": ("output.format", "--format"),
-}
-
-
-class _Collector:
-    """Accumulates diagnostics, each named by the flag that replaced its
-    key, or else anchored to the line where the key appears in the raw
-    text."""
-
-    def __init__(self, raw: str, overrides: dict):
-        self.raw = raw
-        self.flags = {path: flag for key, (path, flag) in _OVERRIDES.items() if key in overrides}
-        self.errors: list[str] = []
-
-    def add(self, path: str, message: str) -> None:
-        key = re.escape(path.split(".")[-1])
-        found = path not in self.flags and re.search(rf'"{key}"\s*:', self.raw)
-        anchor = f"line {self.raw.count(chr(10), 0, found.start()) + 1}: " if found else ""
-        self.errors.append(f"{anchor}{self.flags.get(path, path)}: {message}")
-
-
-def _with_overrides(data: dict, overrides: dict) -> dict:
-    """A copy of the config with each override written over its key."""
-    doc = dict(data)
-    for key, (path, _) in _OVERRIDES.items():
-        if key in overrides:
-            section, _, leaf = path.rpartition(".")
-            if section:
-                block = doc.get(section)
-                doc[section] = {**(block if isinstance(block, dict) else {}), leaf: overrides[key]}
-            else:
-                doc[leaf] = overrides[key]
-    return doc
-
-
-def _section(data: dict, name: str, errors: _Collector) -> dict | None:
-    """Section ``name`` of ``data`` (``data`` itself for the top level)
-    checked against ``_SCALARS``: its unknown keys rejected where
-    ``_UNKNOWN`` says so, each scalar's type and minimum checked, and
-    absent keys given their defaults.  None if the section is not an
-    object or any of its keys failed."""
-    raw = data.get(name, {}) if name else data
-    if not isinstance(raw, dict):
-        errors.add(name, "expected an object")
-        return None
-    table = _SCALARS[name]
-    prefix = f"{name}." if name else ""
-    n_before = len(errors.errors)
-    if name in _UNKNOWN:
-        known = set(table)
-        if not name:
-            # the top level also holds the sections and two keys checked by hand
-            known |= {"scenario", "output", *_SCALARS} - {""}
-        for key in raw:
-            if key not in known:
-                errors.add(prefix + key, f"unknown {_UNKNOWN[name]} key")
-    values = {}
-    for key, (kind, minimum, default) in table.items():
-        if key not in raw:
-            if default is _REQUIRED:
-                errors.add(prefix + key, "missing required key")
-            values[key] = default
-            continue
-        v = raw[key]
-        accepts, what = _KINDS[kind]
-        if isinstance(v, bool) or not isinstance(v, accepts):
-            errors.add(prefix + key, f"expected {what}, got {type(v).__name__}")
-        elif minimum is not None and kind(v) < minimum:
-            errors.add(prefix + key, f"must be >= {minimum}, got {kind(v)}")
-        else:
-            values[key] = kind(v)
-    return values if len(errors.errors) == n_before else None
-
-
-def _network_params(values: dict, errors: _Collector) -> NetworkParams | None:
-    """The network parameters of the checked ``params`` scalars."""
-    try:
-        disk = DiskRegion(values.pop("disk_radius_m"))
-        try:
-            annulus = AnnulusRegion(values.pop("annulus_inner_m"), values.pop("annulus_outer_m"))
-        except ValueError as exc:
-            errors.add("params.annulus_inner_m", f"invalid annulus: {exc}")
-            return None
-        return NetworkParams(**values, disk=disk, annulus=annulus)
-    except ValueError as exc:
-        errors.add("params", str(exc))
-        return None
-
-
-def build_config(data: dict, raw_text: str, overrides: dict | None = None) -> ExperimentConfig:
-    """Validate a parsed config dict, with the CLI overrides written over
-    the keys they replace, into an ExperimentConfig, raising ConfigError
-    with every problem found."""
-    overrides = overrides or {}
-    errors = _Collector(raw_text, overrides)
-    doc = _with_overrides(data, overrides)
-
-    scenario = doc.get("scenario")
-    if scenario is None:
-        errors.add("scenario", "missing required key")
-    elif not isinstance(scenario, str) or scenario not in SCENARIOS:
-        errors.add("scenario", f"unknown scenario {scenario!r}; "
-                   f"expected one of {sorted(SCENARIOS)}")
-        scenario = None
-    spec = SCENARIOS.get(scenario)
-
-    sweep = None
-    if not isinstance(doc.get("sweep"), dict):
-        errors.add("sweep", "missing or malformed sweep object")
-    else:
-        bounds = _section(doc, "sweep", errors)
-        var = doc["sweep"].get("variable")
-        if not isinstance(var, str):
-            errors.add("sweep.variable", "missing sweep variable name")
-        elif spec and var != spec.variable:
-            errors.add("sweep.variable",
-                       f"scenario {scenario} sweeps {spec.variable!r}, got {var!r}")
-        if bounds is not None and isinstance(var, str):
-            if bounds["step"] <= 0.0:
-                errors.add("sweep.step", f"must be > 0, got {bounds['step']}")
-            elif bounds["start"] > bounds["stop"]:
-                errors.add("sweep.start",
-                           f"start {bounds['start']} exceeds stop {bounds['stop']}")
-            else:
-                sweep = SweepSpec(variable=var, **bounds)
-    domain_error = spec.domain_error(sweep) if sweep and spec else None
-    if domain_error:
-        errors.add("sweep.start", domain_error)
-
-    top = _section(doc, "", errors)
-
-    if not isinstance(data.get("output", {}), dict):
-        errors.add("output", "expected an object")
-    # a flag's value stands even where the file's output block is malformed
-    out = doc["output"] if isinstance(doc.get("output"), dict) else {}
-    out_path = out.get("path")
-    out_format = out.get("format", "csv")
-    if not isinstance(out_path, str) or not out_path:
-        errors.add("output.path", "missing output path")
-    if out_format not in ("csv", "json"):
-        errors.add("output.format", f"expected 'csv' or 'json', got {out_format!r}")
-
-    scalars = _section(doc, "params", errors)
-    params = scalars and _network_params(scalars, errors)
-
-    auth = None
-    if doc.get("auth") is None:
-        if spec is not None and spec.needs_auth:
-            errors.add("auth", "this scenario requires an auth block")
-    else:
-        scalars = _section(doc, "auth", errors)
-        auth = scalars and AuthSettings(**scalars)
-
-    if errors.errors:
-        raise ConfigError(errors.errors)
-    return ExperimentConfig(
-        scenario=scenario, params=params, sweep=sweep,
-        n_trials=top["n_trials"], master_seed=top["master_seed"],
-        output_path=out_path, output_format=out_format, auth=auth,
-    )
-
-
-def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw_text = fh.read()
-    except OSError as exc:
-        raise ConfigError([f"{path}: {exc.strerror or exc}"])
-    try:
-        data = json.loads(raw_text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"line {exc.lineno}: invalid JSON: {exc.msg}"])
-    if not isinstance(data, dict):
-        raise ConfigError(["top level: expected a JSON object"])
-    return build_config(data, raw_text, overrides)
-
-
-# ------------------------------------------------------------- evaluation
+# -------------------------------------------------------------- scenarios
 
 
 def _derive_seed(master_seed: int, *key: int) -> int:
@@ -454,6 +243,213 @@ def columns_for(scenario: str) -> list[str]:
     return SCENARIOS[scenario].columns
 
 
+# ------------------------------------------------------------- validation
+
+_REQUIRED = object()  # the default of a key the config must give
+_DEFAULT_PARAMS = NetworkParams()
+_MAX_SWEEP_POINTS = 10_000
+
+# Every config key: section -> key -> (type, bound, default), in the
+# order they are checked; "" is the top level.  The bound of a number is
+# its minimum, that of a string its allowed values (None: any non-empty
+# string); a ``dict`` key is the section of that name.
+_SCALARS = {
+    "": {
+        "scenario": (str, tuple(SCENARIOS), _REQUIRED),
+        "sweep": (dict, None, _REQUIRED),
+        "n_trials": (int, 1, _REQUIRED),
+        "master_seed": (int, 0, _REQUIRED),
+        "output": (dict, None, {}),
+        "params": (dict, None, {}),
+        "auth": (dict, None, None),
+    },
+    "sweep": {
+        "variable": (str, None, _REQUIRED),
+        **{key: (float, None, _REQUIRED) for key in ("start", "stop", "step")},
+    },
+    "params": {
+        **{key: (float, None, getattr(_DEFAULT_PARAMS, key)) for key in (
+            "p_leader_dbm", "p_follower_dbm", "p_jammer_dbm",
+            "alpha", "beta_dl_db", "beta_ul_db", "rho_t", "rho_j")},
+        "disk_radius_m": (float, None, _DEFAULT_PARAMS.disk.radius),
+        "annulus_inner_m": (float, None, _DEFAULT_PARAMS.annulus.inner),
+        "annulus_outer_m": (float, None, _DEFAULT_PARAMS.annulus.outer),
+    },
+    "auth": {
+        "m": (int, 1, _REQUIRED),
+        "n_eves": (int, 1, _REQUIRED),
+        "profile_seed": (int, 0, _REQUIRED),
+        "epsilon_db": (float, 0, 1.0),
+        "lq_db": (float, None, 10.0),
+    },
+    "output": {"path": (str, None, _REQUIRED), "format": (str, ("csv", "json"), "csv")},
+}
+# the JSON values each type accepts, and its name in a diagnostic
+_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
+# what an unknown key is called where it is not the section's name
+_UNKNOWN = {"": "top-level", "params": "parameter"}
+
+# CLI override -> (the config key it replaces, its flag)
+_OVERRIDES = {
+    "n_trials": ("n_trials", "--trials"),
+    "master_seed": ("master_seed", "--seed"),
+    "output_path": ("output.path", "--out"),
+    "output_format": ("output.format", "--format"),
+}
+
+
+class _Collector:
+    """Accumulates diagnostics, each named by the flag that replaced its
+    key, or else anchored to the line where the key appears in the raw
+    text."""
+
+    def __init__(self, raw: str, overrides: dict):
+        self.raw = raw
+        self.flags = {path: flag for key, (path, flag) in _OVERRIDES.items() if key in overrides}
+        self.errors: list[str] = []
+
+    def add(self, path: str, message: str) -> None:
+        # the path's keys in order, each after the previous one's match, so
+        # that a key is anchored inside its own section
+        keys = [rf'"{re.escape(key)}"\s*:' for key in path.split(".")]
+        pattern = r"[\s\S]*?".join(keys[:-1] + [f"({keys[-1]})"])
+        found = path not in self.flags and re.search(pattern, self.raw)
+        anchor = f"line {self.raw.count(chr(10), 0, found.start(1)) + 1}: " if found else ""
+        self.errors.append(f"{anchor}{self.flags.get(path, path)}: {message}")
+
+
+def _with_overrides(data: dict, overrides: dict) -> dict:
+    """A copy of the config with each override written over its key,
+    except in a section that is not an object, which stays an error."""
+    doc = {key: dict(v) if isinstance(v, dict) else v for key, v in data.items()}
+    for key, (path, _) in _OVERRIDES.items():
+        section, _, leaf = path.rpartition(".")
+        block = doc.setdefault(section, {}) if section else doc
+        if key in overrides and isinstance(block, dict):
+            block[leaf] = overrides[key]
+    return doc
+
+
+def _section(raw: object, name: str, errors: _Collector) -> dict | None:
+    """Section ``name`` (``""`` for the whole document) checked against
+    ``_SCALARS``: its unknown keys rejected, each key's type and bound
+    checked, absent keys given their defaults, and each of its sections
+    checked in turn.  A key that failed is None in the result, and so is
+    a section that is not an object."""
+    if not isinstance(raw, dict):
+        errors.add(name, "expected an object")
+        return None
+    table = _SCALARS[name]
+    prefix = f"{name}." if name else ""
+    for key in raw:
+        if key not in table:
+            errors.add(prefix + key, f"unknown {_UNKNOWN.get(name, name)} key")
+    values = dict.fromkeys(table)  # a key that fails stays None
+    for key, (kind, bound, default) in table.items():
+        v, path = raw.get(key, default), prefix + key
+        if v is _REQUIRED:
+            errors.add(path, "missing required key")
+        elif kind is dict:
+            # an optional section may also be given as null
+            values[key] = None if v is None and default is None else _section(v, key, errors)
+        elif kind is str and bound:
+            if v in bound:
+                values[key] = v
+            else:
+                errors.add(path, f"unknown {key} {v!r}; expected one of {sorted(bound)}")
+        elif isinstance(v, bool) or not isinstance(v, _KINDS[kind][0]):
+            errors.add(path, f"expected {_KINDS[kind][1]}, got {type(v).__name__}")
+        elif kind is str:
+            if v:
+                values[key] = v
+            else:
+                errors.add(path, "must not be empty")
+        elif kind is float and not abs(v) <= sys.float_info.max:  # false for NaN too
+            errors.add(path, f"must be finite, got {v}")
+        elif bound is not None and kind(v) < bound:
+            errors.add(path, f"must be >= {bound}, got {kind(v)}")
+        else:
+            values[key] = kind(v)
+    return values
+
+
+def _passed(values: dict | None) -> bool:
+    """Whether a section ``_section`` checked is an object whose keys all passed."""
+    return values is not None and None not in values.values()
+
+
+def _network_params(values: dict, errors: _Collector) -> NetworkParams | None:
+    """The network parameters of the checked ``params`` scalars."""
+    try:
+        disk = DiskRegion(values.pop("disk_radius_m"))
+        try:
+            annulus = AnnulusRegion(values.pop("annulus_inner_m"), values.pop("annulus_outer_m"))
+        except ValueError as exc:
+            errors.add("params.annulus_inner_m", f"invalid annulus: {exc}")
+            return None
+        return NetworkParams(**values, disk=disk, annulus=annulus)
+    except ValueError as exc:
+        errors.add("params", str(exc))
+        return None
+
+
+def build_config(data: dict, raw_text: str, overrides: dict | None = None) -> ExperimentConfig:
+    """Validate a parsed config dict, with the CLI overrides written over
+    the keys they replace, into an ExperimentConfig, raising ConfigError
+    with every problem found."""
+    overrides = overrides or {}
+    errors = _Collector(raw_text, overrides)
+    doc = _with_overrides(data, overrides)
+    top = _section(doc, "", errors)
+
+    scenario = top["scenario"]
+    spec = SCENARIOS.get(scenario)
+    var = (top["sweep"] or {}).get("variable")
+    if spec and var and var != spec.variable:
+        errors.add("sweep.variable", f"scenario {scenario} sweeps {spec.variable!r}, got {var!r}")
+    sweep = SweepSpec(**top["sweep"]) if _passed(top["sweep"]) else None
+    if sweep is not None:
+        if sweep.step <= 0.0:
+            errors.add("sweep.step", f"must be > 0, got {sweep.step}")
+        elif sweep.start > sweep.stop:
+            errors.add("sweep.start", f"start {sweep.start} exceeds stop {sweep.stop}")
+        elif (count := sweep.count()) > _MAX_SWEEP_POINTS:
+            errors.add("sweep.step", f"gives {count} sweep points, more than {_MAX_SWEEP_POINTS}")
+        elif spec and (problem := spec.domain_error(sweep)):
+            errors.add("sweep.start", problem)
+
+    params = _network_params(top["params"], errors) if _passed(top["params"]) else None
+    auth = AuthSettings(**top["auth"]) if _passed(top["auth"]) else None
+    if spec and spec.needs_auth and doc.get("auth") is None:
+        errors.add("auth", "this scenario requires an auth block")
+
+    if errors.errors:
+        raise ConfigError(errors.errors)
+    return ExperimentConfig(
+        scenario=scenario, params=params, sweep=sweep,
+        n_trials=top["n_trials"], master_seed=top["master_seed"],
+        output_path=top["output"]["path"], output_format=top["output"]["format"], auth=auth,
+    )
+
+
+def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw_text = fh.read()
+    except OSError as exc:
+        raise ConfigError([f"{path}: {exc.strerror or exc}"])
+    try:
+        data = json.loads(raw_text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"line {exc.lineno}: invalid JSON: {exc.msg}"])
+    if not isinstance(data, dict):
+        raise ConfigError(["top level: expected a JSON object"])
+    return build_config(data, raw_text, overrides)
+
+
+# ------------------------------------------------------------- evaluation
+
+
 def _evaluate_point(config: ExperimentConfig, index: int, value: float) -> dict:
     try:
         return SCENARIOS[config.scenario].row(config, index, value)
@@ -532,7 +528,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="output_path", metavar="OUT", help="override output path")
     p.add_argument("--format", dest="output_format", choices=("csv", "json"),
                    help="override output format")
-    p.add_argument("--scenario", help="override scenario name")
     p.add_argument("--validate-only", action="store_true",
                    help="parse and validate the config, run nothing")
     return p
@@ -552,9 +547,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         return _report_config_error(exc)
 
-    n_points = len(config.sweep.values())
     if args.validate_only:
-        print(f"config OK: scenario={config.scenario}, {n_points} sweep points, "
+        print(f"config OK: scenario={config.scenario}, {config.sweep.count()} sweep points, "
               f"trials={config.n_trials}, seed={config.master_seed}")
         return 0
 

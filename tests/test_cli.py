@@ -159,9 +159,7 @@ def test_overrides_replace_bad_file_values(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("--seed", "-1", "must be >= 0"),
     ("--trials", "0", "must be >= 1"),
-    ("--scenario", "bogus", "unknown scenario"),
-    ("--scenario", "", "unknown scenario"),
-    ("--out", "", "missing output path"),
+    ("--out", "", "must not be empty"),
 ])
 def test_bad_override_names_the_flag(tmp_path, capsys, flag, value, message):
     path = write_config(tmp_path, base_config(tmp_path))
@@ -170,7 +168,7 @@ def test_bad_override_names_the_flag(tmp_path, capsys, flag, value, message):
     assert len(err) == 1 and err[0].startswith(f"config error: {flag}: {message}")
 
 
-@pytest.mark.parametrize("flag", ["--out", "--scenario"])
+@pytest.mark.parametrize("flag", ["--out"])
 def test_empty_override_writes_nothing(tmp_path, capsys, flag):
     # an explicit empty value is an error, not a fall-back to the file's value
     path = write_config(tmp_path, base_config(tmp_path))
@@ -227,6 +225,20 @@ def line_of(path, key):
     return next(i for i, ln in enumerate(lines, 1) if ln.lstrip().startswith(f'"{key}":'))
 
 
+@pytest.mark.parametrize("section, what", [
+    ("", "top-level"), ("sweep", "sweep"), ("params", "parameter"),
+    ("auth", "auth"), ("output", "output"),
+], ids=["top", "sweep", "params", "auth", "output"])
+def test_every_section_rejects_unknown_keys(tmp_path, capsys, section, what):
+    cfg = auth_config(tmp_path)
+    (cfg[section] if section else cfg)["bogus_key"] = 1.0
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["--config", path, "--validate-only"]) == 2
+    name = f"{section}.bogus_key" if section else "bogus_key"
+    assert capsys.readouterr().err == (
+        f"config error: line {line_of(path, 'bogus_key')}: {name}: unknown {what} key\n")
+
+
 def test_anchor_is_the_line_of_the_key_not_of_a_value(tmp_path, capsys):
     # "lq_db" is also the sweep variable's value, several lines earlier
     path = write_config(tmp_path, auth_config(tmp_path, lq_db="high"))
@@ -237,9 +249,42 @@ def test_anchor_is_the_line_of_the_key_not_of_a_value(tmp_path, capsys):
         f"config error: line {line}: auth.lq_db: expected a number, got str\n")
 
 
+def test_anchor_is_inside_the_key_section(tmp_path, capsys):
+    # "alpha" is a params key too, and params comes first in the file
+    cfg = auth_config(tmp_path, alpha=3.0)
+    cfg["params"]["alpha"] = 3.0
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["--config", path, "--validate-only"]) == 2
+    with open(path) as fh:
+        lines = [i for i, ln in enumerate(fh, 1) if ln.lstrip().startswith('"alpha":')]
+    assert len(lines) == 2
+    assert capsys.readouterr().err == (
+        f"config error: line {lines[1]}: auth.alpha: unknown auth key\n")
+
+
+@pytest.mark.parametrize("stop, step, code", [(9999.0, 1.0, 0), (10000.0, 1.0, 2), (10.0, 1e-9, 2)])
+def test_sweep_points_are_counted_not_listed(tmp_path, capsys, monkeypatch, stop, step, code):
+    # validation bounds the sweep at 10,000 points before any point is listed
+    monkeypatch.setattr(cli.SweepSpec, "values", lambda self: pytest.fail("sweep points listed"))
+    cfg = auth_config(tmp_path)
+    cfg["sweep"].update(start=0.0, stop=stop, step=step)
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["--config", path, "--validate-only"]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err.startswith(f"config error: line {line_of(path, 'step')}: sweep.step: gives ")
+        assert err.endswith(" sweep points, more than 10000\n")
+    else:
+        assert "10000 sweep points" in out
+
+
 SCALARS = [pytest.param(section, key, spec, id=f"{section or 'top'}.{key}")
-           for section, table in cli._SCALARS.items() for key, spec in table.items()]
-BOUNDED = [case for case in SCALARS if case.values[2][1] is not None]
+           for section, table in cli._SCALARS.items() for key, spec in table.items()
+           if spec[0] is not dict]
+BOUNDED = [case for case in SCALARS if case.values[2][0] is not str and case.values[2][1] is not None]
+FLOATS = [case for case in SCALARS if case.values[2][0] is float]
+STRINGS = [case for case in SCALARS if case.values[2][0] is str]
+CHOICES = [case for case in STRINGS if case.values[2][1]]
 
 
 def schema_case(tmp_path, section, key, value):
@@ -250,12 +295,45 @@ def schema_case(tmp_path, section, key, value):
     return path, f"config error: line {line_of(path, key)}: {name}: "
 
 
+def unlisted(key, value, choices):
+    return f"unknown {key} {value!r}; expected one of {sorted(choices)}"
+
+
 @pytest.mark.parametrize("section, key, spec", SCALARS)
 def test_every_scalar_key_rejects_a_wrong_type(tmp_path, capsys, section, key, spec):
-    path, prefix = schema_case(tmp_path, section, key, "wrong")
+    kind, bound, _ = spec
+    value = 5 if kind is str else "wrong"
+    path, prefix = schema_case(tmp_path, section, key, value)
     assert cli.main(["--config", path, "--validate-only"]) == 2
-    what = "an integer" if spec[0] is int else "a number"
-    assert capsys.readouterr().err == f"{prefix}expected {what}, got str\n"
+    if kind is str:
+        message = unlisted(key, value, bound) if bound else "expected a string, got int"
+    else:
+        message = f"expected {'an integer' if kind is int else 'a number'}, got str"
+    assert capsys.readouterr().err == f"{prefix}{message}\n"
+
+
+@pytest.mark.parametrize("section, key, spec", STRINGS)
+def test_every_string_key_rejects_an_empty_string(tmp_path, capsys, section, key, spec):
+    path, prefix = schema_case(tmp_path, section, key, "")
+    assert cli.main(["--config", path, "--validate-only"]) == 2
+    message = unlisted(key, "", spec[1]) if spec[1] else "must not be empty"
+    assert capsys.readouterr().err == f"{prefix}{message}\n"
+
+
+@pytest.mark.parametrize("section, key, spec", CHOICES)
+def test_every_choice_key_rejects_an_unlisted_value(tmp_path, capsys, section, key, spec):
+    path, prefix = schema_case(tmp_path, section, key, "bogus")
+    assert cli.main(["--config", path, "--validate-only"]) == 2
+    assert capsys.readouterr().err == f"{prefix}{unlisted(key, 'bogus', spec[1])}\n"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("section, key, spec", FLOATS)
+def test_every_float_key_rejects_a_non_finite_value(tmp_path, capsys, section, key, spec, value):
+    # json reads NaN and Infinity, which no key may hold
+    path, prefix = schema_case(tmp_path, section, key, value)
+    assert cli.main(["--config", path, "--validate-only"]) == 2
+    assert capsys.readouterr().err == f"{prefix}must be finite, got {value}\n"
 
 
 @pytest.mark.parametrize("section, key, spec", BOUNDED)
