@@ -46,31 +46,17 @@ def lq_db_to_sigma(lq_db: float) -> float:
     return 10.0 ** (-lq_db / 20.0)
 
 
-def _validated_priors(priors, count: int, name: str) -> np.ndarray:
-    if priors is None:
-        return np.full(count, 1.0 / count)
-    priors = np.asarray(priors, dtype=float)
-    if priors.shape != (count,):
-        raise ValueError(f"{name} must have shape ({count},), got {priors.shape}")
-    if np.any(priors < 0.0) or not np.all(np.isfinite(priors)):
-        raise ValueError(f"{name} must be non-negative and finite")
-    if abs(priors.sum() - 1.0) > 1e-9:
-        raise ValueError(f"{name} must sum to 1, got {priors.sum()}")
-    return priors
-
-
 @dataclass(frozen=True)
 class AuthProfile:
     """Leader-side authentication state: enrolled fingerprints, noise
-    level, acceptance threshold, and the intruder prior support."""
+    level, acceptance threshold, and the intruder prior support.
+    Identities and intruders are weighted uniformly."""
 
     ground_truth: np.ndarray
     sigma: float
     epsilon: float
     psi_min: float = DEFAULT_PSI_MIN
     psi_max: float = DEFAULT_PSI_MAX
-    priors: np.ndarray | None = None
-    eve_priors: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         gt = np.array(self.ground_truth, dtype=float)
@@ -85,11 +71,6 @@ class AuthProfile:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         if not (self.psi_min < self.psi_max):
             raise ValueError("psi_min must be below psi_max")
-        if self.priors is not None:
-            object.__setattr__(self, "priors", _validated_priors(self.priors, gt.size, "priors"))
-        if self.eve_priors is not None:
-            ep = np.asarray(self.eve_priors, dtype=float)
-            object.__setattr__(self, "eve_priors", _validated_priors(ep, ep.size, "eve_priors"))
 
     @property
     def m(self) -> int:
@@ -99,15 +80,12 @@ class AuthProfile:
     def delta(self) -> float:
         return self.psi_max - self.psi_min
 
-    def follower_priors(self) -> np.ndarray:
-        return _validated_priors(self.priors, self.m, "priors")
-
-    def intruders(self, eve_pathlosses) -> tuple[np.ndarray, np.ndarray]:
-        """Validated intruder fingerprints and their priors."""
+    def intruders(self, eve_pathlosses) -> np.ndarray:
+        """Validated intruder fingerprints."""
         psi_e = np.atleast_1d(np.asarray(eve_pathlosses, dtype=float))
         if psi_e.ndim != 1 or psi_e.size == 0 or not np.all(np.isfinite(psi_e)):
             raise ValueError("eve_pathlosses must be a non-empty 1-D finite array")
-        return psi_e, _validated_priors(self.eve_priors, psi_e.size, "eve_priors")
+        return psi_e
 
     @cached_property
     def _sorted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -203,13 +181,15 @@ def p_md_closed_form(profile: AuthProfile, eve_pathlosses) -> float:
     """Missed-detection probability for known intruder fingerprints.
 
     Averages the per-fingerprint acceptance-window mass over the
-    intruder prior and over the m claimable identities, i.e. the rate
+    intruders and over the m claimable identities, i.e. the rate
     at which an intruder claiming a uniformly chosen identity passes
     that identity's threshold test.  Clipped into [0, 1] with a
     diagnostic if the window sum overruns.
     """
-    psi_e, pi_j = profile.intruders(eve_pathlosses)
-    total = pi_j @ _window_sum(profile, psi_e, profile.epsilon)
+    psi_e = profile.intruders(eve_pathlosses)
+    # a dot product with uniform weights, not a mean, whose pairwise sum
+    # rounds differently in the last bits
+    total = np.full(psi_e.size, 1.0 / psi_e.size) @ _window_sum(profile, psi_e, profile.epsilon)
     return _clip_probability(total / profile.m, "p_md_closed_form")
 
 
@@ -251,17 +231,16 @@ def p_md_expected(profile: AuthProfile) -> float:
 
 def p_mc_closed_form(profile: AuthProfile) -> float:
     """Misclassification probability of the nearest-fingerprint match:
-    prior-weighted mass of the measurement falling outside the home
-    cell.  Cells are bounded by midpoints between sorted fingerprints,
-    closed at the ends by the prior support bounds; independent of
-    epsilon."""
-    order, srt, _ = profile._sorted
-    pri = profile.follower_priors()[order]
+    mass of the measurement falling outside the home cell, averaged
+    over the identities.  Cells are bounded by midpoints between sorted
+    fingerprints, closed at the ends by the prior support bounds;
+    independent of epsilon."""
+    _, srt, _ = profile._sorted
     mids = 0.5 * (srt[1:] + srt[:-1])
     lower = np.concatenate(([profile.psi_min], mids))
     upper = np.concatenate((mids, [profile.psi_max]))
     q = q_function(np.stack((lower - srt, upper - srt)) / profile.sigma)
-    total = pri @ (1.0 - (q[0] - q[1]))
+    total = np.full(profile.m, 1.0 / profile.m) @ (1.0 - (q[0] - q[1]))
     return _clip_probability(total, "p_mc_closed_form")
 
 

@@ -32,7 +32,7 @@ from raftguard.auth import (
     sample_fingerprints,
     threshold_for_pfa,
 )
-from raftguard.channel import NetworkParams
+from raftguard.channel import NetworkParams, pathloss_db
 from raftguard.coverage import coverage_joint
 from raftguard.geometry import AnnulusRegion, DiskRegion
 from raftguard.montecarlo import TrialConfig, estimate_coverage, simulate_auth
@@ -128,6 +128,14 @@ def _profile_arrays(config: ExperimentConfig):
     return sample_fingerprints(a.m, a.n_eves, config.params.disk, config.params.alpha, rng)
 
 
+def _profile(config: ExperimentConfig, gt: np.ndarray, sigma: float, eps: float) -> AuthProfile:
+    """The leader's profile, its intruder prior support running up to
+    the pathloss at the config's disk edge."""
+    p = config.params
+    return AuthProfile(ground_truth=gt, sigma=sigma, epsilon=eps,
+                       psi_max=float(pathloss_db(p.disk.radius, p.alpha)))
+
+
 def _beta_point(p: NetworkParams, value: float) -> NetworkParams:
     return replace(p, beta_dl_db=value, beta_ul_db=value)
 
@@ -167,7 +175,7 @@ def _auth_row(config: ExperimentConfig, index: int, value: float) -> dict:
     gt, eve = _profile_arrays(config)
     sigma = lq_db_to_sigma(value)
     eps = config.auth.epsilon_db
-    profile = AuthProfile(ground_truth=gt, sigma=sigma, epsilon=eps)
+    profile = _profile(config, gt, sigma, eps)
     legit = simulate_auth(profile, "legit", config.n_trials,
                           _derive_seed(config.master_seed, index, 0))
     eves = simulate_auth(profile, "eve", config.n_trials,
@@ -188,7 +196,7 @@ def _roc_row(config: ExperimentConfig, index: int, value: float) -> dict:
     gt, _ = _profile_arrays(config)
     sigma = lq_db_to_sigma(config.auth.lq_db)
     eps = threshold_for_pfa(value, sigma)
-    profile = AuthProfile(ground_truth=gt, sigma=sigma, epsilon=eps)
+    profile = _profile(config, gt, sigma, eps)
     p_d_cf = roc_curve(profile, [value])[0][2]
     sim = simulate_auth(profile, "eve", config.n_trials,
                         _derive_seed(config.master_seed, index))
@@ -248,6 +256,9 @@ def columns_for(scenario: str) -> list[str]:
 _REQUIRED = object()  # the default of a key the config must give
 _DEFAULT_PARAMS = NetworkParams()
 _MAX_SWEEP_POINTS = 10_000
+# about 4.5 min for one coverage point at 3.7e6 trials/s; the shipped
+# configs use 1e5
+_MAX_TRIALS = 10**9
 
 # Every config key: section -> key -> (type, bound, default), in the
 # order they are checked; "" is the top level.  The bound of a number is
@@ -407,6 +418,8 @@ def build_config(data: dict, raw_text: str, overrides: dict | None = None) -> Ex
     var = (top["sweep"] or {}).get("variable")
     if spec and var and var != spec.variable:
         errors.add("sweep.variable", f"scenario {scenario} sweeps {spec.variable!r}, got {var!r}")
+    if (n_trials := top["n_trials"]) is not None and n_trials > _MAX_TRIALS:
+        errors.add("n_trials", f"must be <= {_MAX_TRIALS}, got {n_trials}")
     sweep = SweepSpec(**top["sweep"]) if _passed(top["sweep"]) else None
     if sweep is not None:
         if sweep.step <= 0.0:
@@ -419,6 +432,10 @@ def build_config(data: dict, raw_text: str, overrides: dict | None = None) -> Ex
             errors.add("sweep.start", problem)
 
     params = _network_params(top["params"], errors) if _passed(top["params"]) else None
+    if spec and spec.needs_auth and params is not None and params.disk.radius <= 1.0:
+        # the intruder prior support is [0, pathloss at the disk edge] dB
+        errors.add("params.disk_radius_m",
+                   f"must be > 1 for an auth scenario, got {params.disk.radius}")
     auth = AuthSettings(**top["auth"]) if _passed(top["auth"]) else None
     if spec and spec.needs_auth and doc.get("auth") is None:
         errors.add("auth", "this scenario requires an auth block")

@@ -108,10 +108,9 @@ class ConsensusOutcome:
 def _chunks(n_trials: int, master_seed: int):
     """Yield (size, rng) per chunk of at most CHUNK_SIZE trials; chunk i
     draws from ``SeedSequence(master_seed, spawn_key=(i,))``."""
-    full, rem = divmod(n_trials, CHUNK_SIZE)
-    sizes = [CHUNK_SIZE] * full + ([rem] if rem else [])
-    for index, size in enumerate(sizes):
-        yield size, np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
+    for index, start in enumerate(range(0, n_trials, CHUNK_SIZE)):
+        rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
+        yield min(CHUNK_SIZE, n_trials - start), rng
 
 
 def _jammers(p: NetworkParams, size: int, rng: np.random.Generator):
@@ -310,13 +309,13 @@ def simulate_auth(
 ) -> AuthSimResult:
     """Run the threshold-plus-nearest-fingerprint test many times.
 
-    "legit": each trial picks an enrolled identity from the profile
-    priors, adds Gaussian noise to its fingerprint, and matches.
-    "eve": each trial draws an intruder fingerprint, either from the
-    fixed ``eve_pathlosses`` vector (picked by the intruder priors) or
-    uniformly over the prior support when the vector is omitted; the
-    intruder also claims one uniformly chosen identity, tallied
-    separately against that identity's window alone.
+    "legit": each trial picks an enrolled identity uniformly, adds
+    Gaussian noise to its fingerprint, and matches.
+    "eve": each trial draws an intruder fingerprint, either uniformly
+    from the fixed ``eve_pathlosses`` vector or uniformly over the
+    prior support when the vector is omitted; the intruder also claims
+    one uniformly chosen identity, tallied separately against that
+    identity's window alone.
     """
     if scenario not in ("legit", "eve"):
         raise ValueError(f"unknown scenario {scenario!r}")
@@ -330,16 +329,19 @@ def simulate_auth(
     m = profile.m
     pool = None
     if scenario == "legit":
-        pool, priors = profile.ground_truth, profile.follower_priors()
+        pool = profile.ground_truth
     elif eve_pathlosses is not None:
-        pool, priors = profile.intruders(eve_pathlosses)
+        pool = profile.intruders(eve_pathlosses)
+    # uniform weights drawn through ``choice``, whose stream differs from
+    # that of ``integers``
+    weights = None if pool is None else np.full(pool.size, 1.0 / pool.size)
 
     n_accepted = 0
     n_wrong = 0
     n_claimed_accepted = 0
     for size, rng in _chunks(n_trials, master_seed):
         if pool is not None:
-            ident = rng.choice(pool.size, size=size, p=priors)
+            ident = rng.choice(pool.size, size=size, p=weights)
             truth = pool[ident]
         else:
             truth = rng.uniform(profile.psi_min, profile.psi_max, size)

@@ -103,6 +103,20 @@ def test_auth_sweep_schema(tmp_path):
     assert pfa[0] > pfa[-1]
 
 
+def test_auth_prior_support_follows_the_config(tmp_path):
+    # at alpha 4, three of the five fingerprints lie past the pathloss at
+    # 500 m under alpha 3, where a fixed support would cut their cells short
+    cfg = base_config(tmp_path, scenario="auth_errors_vs_lq")
+    cfg["params"]["alpha"] = 4.0
+    cfg["sweep"] = {"variable": "lq_db", "start": 0.0, "stop": 30.0, "step": 10.0}
+    cfg["auth"] = {"m": 5, "n_eves": 5, "profile_seed": 28294, "epsilon_db": 1.0}
+    assert cli.main(["--config", write_config(tmp_path, cfg), "--trials", "20000"]) == 0
+    _, rows = read_rows(tmp_path / "out.csv")
+    assert len(rows) == 4
+    for r in rows:
+        assert abs(float(r["p_mc_cf"]) - float(r["p_mc_mc"])) <= 0.01
+
+
 def test_json_output_round_trips(tmp_path):
     cfg = base_config(tmp_path)
     code = cli.main(["--config", write_config(tmp_path, cfg),
@@ -159,6 +173,7 @@ def test_overrides_replace_bad_file_values(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("--seed", "-1", "must be >= 0"),
     ("--trials", "0", "must be >= 1"),
+    ("--trials", "100000000000000000000000", "must be <= 1000000000"),
     ("--out", "", "must not be empty"),
 ])
 def test_bad_override_names_the_flag(tmp_path, capsys, flag, value, message):
@@ -189,6 +204,18 @@ def test_inverted_annulus_rejected(tmp_path, capsys):
     cfg["params"]["annulus_outer_m"] = 100.0
     assert cli.main(["--config", write_config(tmp_path, cfg), "--validate-only"]) == 2
     assert "annulus" in capsys.readouterr().err
+
+
+def test_auth_disk_must_be_wider_than_one_metre(tmp_path, capsys):
+    # the intruder prior support ends at the pathloss at the disk edge,
+    # which is 0 dB at 1 m
+    cfg = auth_config(tmp_path)
+    cfg["params"]["disk_radius_m"] = 1.0
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["--config", path, "--validate-only"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: line {line_of(path, 'disk_radius_m')}: "
+        "params.disk_radius_m: must be > 1 for an auth scenario, got 1.0\n")
 
 
 def test_alpha_two_rejected(tmp_path, capsys):

@@ -12,10 +12,10 @@ from scipy.special import chndtr
 from scipy.stats import norm, poisson
 
 from raftguard import montecarlo
-from raftguard.auth import AuthProfile, lq_db_to_sigma, threshold_for_pfa
+from raftguard.auth import AuthProfile, lq_db_to_sigma, sample_fingerprints, threshold_for_pfa
 from raftguard.channel import NetworkParams, rayleigh_coverage
 from raftguard.coverage import coverage_joint
-from raftguard.geometry import AnnulusRegion, annulus_radii, link_distances
+from raftguard.geometry import AnnulusRegion, DiskRegion, annulus_radii, link_distances
 from raftguard.montecarlo import (
     CHUNK_SIZE,
     AuthSimResult,
@@ -75,6 +75,12 @@ def test_short_runs_work():
     assert res.n_trials == 37
 
 
+def test_chunks_are_not_listed_up_front():
+    # a trial count past sys.maxsize chunks still yields its first chunk
+    size, _ = next(montecarlo._chunks(10**30, 0))
+    assert size == CHUNK_SIZE
+
+
 # ------------------------------------------------------ frozen regressions
 
 
@@ -87,6 +93,22 @@ def test_coverage_regression():
     assert res.p_joint == pytest.approx(0.9726957542470653, abs=1e-14)
     assert res.ci_ul == pytest.approx(0.0005474724804412978, rel=1e-10)
     assert res.ci_joint == pytest.approx(0.0007709094657247686, rel=1e-10)
+
+
+def test_auth_regression():
+    """Tallies pinned at fixed seeds on the shipped fingerprints at
+    LQ 0 dB; any change to the identity, intruder or noise draws shows
+    up here."""
+    gt, eve = sample_fingerprints(5, 5, DiskRegion(500.0), 3.0, np.random.default_rng(28294))
+    sigma = lq_db_to_sigma(0.0)
+    prof = AuthProfile(ground_truth=gt, sigma=sigma, epsilon=threshold_for_pfa(0.1, sigma))
+    n = 3 * CHUNK_SIZE + 17
+    legit = simulate_auth(prof, "legit", n, 11)
+    assert (legit.p_fa, legit.p_mc) == (1.0 - 11091 / n, 41 / n)
+    fixed = simulate_auth(prof, "eve", n, 12, eve_pathlosses=eve)
+    assert (fixed.p_md, fixed.p_md_claimed) == (7713 / n, 1555 / n)
+    uniform = simulate_auth(prof, "eve", n, 13)
+    assert (uniform.p_md, uniform.p_md_claimed) == (2468 / n, 459 / n)
 
 
 def test_consensus_regression():
@@ -346,14 +368,3 @@ def test_auth_result_count_bounds():
     with pytest.raises(ValueError):
         AuthSimResult(scenario="eve", n_trials=10, n_accepted=0,
                       n_wrong_index=0, n_claimed_accepted=11)
-
-
-def test_auth_fixed_eves_respect_priors():
-    # all prior mass on one intruder far from every fingerprint: the
-    # nearest match never lands inside a window
-    p = profile(lq_db=20.0)
-    prior = np.array([1.0, 0.0])
-    prof = AuthProfile(ground_truth=p.ground_truth, sigma=p.sigma,
-                       epsilon=p.epsilon, eve_priors=prior)
-    res = simulate_auth(prof, "eve", 5000, 6, eve_pathlosses=[10.0, 62.6])
-    assert res.p_md == 0.0
