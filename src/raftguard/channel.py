@@ -75,18 +75,6 @@ class NetworkParams:
 
     # linear-scale accessors
     @property
-    def p_leader(self) -> float:
-        return db_to_linear(self.p_leader_dbm)
-
-    @property
-    def p_follower(self) -> float:
-        return db_to_linear(self.p_follower_dbm)
-
-    @property
-    def p_jammer(self) -> float:
-        return db_to_linear(self.p_jammer_dbm)
-
-    @property
     def beta_dl(self) -> float:
         return db_to_linear(self.beta_dl_db)
 

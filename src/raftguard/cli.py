@@ -90,7 +90,9 @@ class SweepSpec:
         return math.floor(min((self.stop - self.start) / self.step + 1e-9, sys.maxsize)) + 1
 
     def values(self) -> list[float]:
-        return [self.start + i * self.step for i in range(self.count())]
+        """The sweep points; the guard in ``count`` may admit a last point
+        a hair past ``stop``, which is then ``stop`` itself."""
+        return [min(self.start + i * self.step, self.stop) for i in range(self.count())]
 
 
 @dataclass(frozen=True)
@@ -259,6 +261,9 @@ _MAX_SWEEP_POINTS = 10_000
 # about 4.5 min for one coverage point at 3.7e6 trials/s; the shipped
 # configs use 1e5
 _MAX_TRIALS = 10**9
+# (intruder, fingerprint) pairs of one p_md_closed_form call, at about
+# 58 bytes each: 0.6 GB
+_MAX_AUTH_PAIRS = 10**7
 
 # Every config key: section -> key -> (type, bound, default), in the
 # order they are checked; "" is the top level.  The bound of a number is
@@ -437,6 +442,9 @@ def build_config(data: dict, raw_text: str, overrides: dict | None = None) -> Ex
         errors.add("params.disk_radius_m",
                    f"must be > 1 for an auth scenario, got {params.disk.radius}")
     auth = AuthSettings(**top["auth"]) if _passed(top["auth"]) else None
+    if auth is not None and auth.m * auth.n_eves > _MAX_AUTH_PAIRS:
+        errors.add("auth.n_eves", f"m * n_eves = {auth.m * auth.n_eves} is more than "
+                                  f"{_MAX_AUTH_PAIRS} (intruder, fingerprint) pairs")
     if spec and spec.needs_auth and doc.get("auth") is None:
         errors.add("auth", "this scenario requires an auth block")
 

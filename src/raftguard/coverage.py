@@ -62,7 +62,7 @@ _OUTER_NODES = 96
 class CoverageResult:
     """Joint downlink/uplink coverage evaluation.
 
-    ``p_joint`` is always the product of the marginals; the Monte Carlo
+    ``p_joint`` is the product of the marginals; the Monte Carlo
     engine fills in the confidence half-widths, analytic evaluations
     fill in the quadrature error estimate.  For the closed form that is
     the larger over the two directions of |Q_n - Q_(n/2)|, the gap
@@ -73,7 +73,6 @@ class CoverageResult:
 
     p_dl: float
     p_ul: float
-    p_joint: float
     quadrature_error_estimate: float = 0.0
     ci_dl: float | None = None
     ci_ul: float | None = None
@@ -81,18 +80,20 @@ class CoverageResult:
     n_trials: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("p_dl", "p_ul", "p_joint"):
+        for name in ("p_dl", "p_ul"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} = {v} is not a probability")
-        if abs(self.p_joint - self.p_dl * self.p_ul) > 1e-9:
-            raise ValueError("p_joint must equal p_dl * p_ul")
         if not (math.isfinite(self.quadrature_error_estimate) and self.quadrature_error_estimate >= 0.0):
             raise ValueError("quadrature_error_estimate must be >= 0")
         for name in ("ci_dl", "ci_ul", "ci_joint"):
             v = getattr(self, name)
             if v is not None and not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be >= 0 when present")
+
+    @property
+    def p_joint(self) -> float:
+        return self.p_dl * self.p_ul
 
 
 def _u_kernel(z_lo: float, z_hi: float, m: float) -> float:
@@ -276,6 +277,5 @@ def coverage_joint(params: NetworkParams, *, method: str = "closed_form") -> Cov
     return CoverageResult(
         p_dl=p_dl,
         p_ul=p_ul,
-        p_joint=p_dl * p_ul,
         quadrature_error_estimate=max(err_dl, err_ul),
     )

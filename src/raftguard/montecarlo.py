@@ -7,7 +7,7 @@ bit-identical for a given (config, seed) no matter how the work is
 scheduled.  The coverage engines are Rao-Blackwellised: they draw only
 the geometry and average the exact Rayleigh-fading probability of
 success given it (``channel.rayleigh_coverage``); the authentication
-engine tallies integer counts.
+engine tallies integer counts and reports their rates.
 
 Each trial's jammers form a PPP of mean count lambda_j = rho_j * |annulus|.
 A chunk of n trials draws them as one field: a single Poisson(n *
@@ -35,7 +35,8 @@ from raftguard.specfun import gauss_legendre, q_inverse
 __all__ = [
     "TrialConfig",
     "ConsensusOutcome",
-    "AuthSimResult",
+    "LegitOutcome",
+    "IntruderOutcome",
     "estimate_coverage",
     "simulate_consensus",
     "simulate_auth",
@@ -60,6 +61,22 @@ def _disk_rule() -> tuple[np.ndarray, np.ndarray]:
     return s * s, 2.0 * w * s**3
 
 
+def _check_run(n_trials: int, master_seed: int) -> None:
+    """Reject a trial count or master seed that is not an integer, or
+    out of range."""
+    if not isinstance(n_trials, int) or n_trials < 1:
+        raise ValueError(f"n_trials must be a positive integer, got {n_trials}")
+    if not isinstance(master_seed, int) or master_seed < 0:
+        raise ValueError(f"master_seed must be a non-negative integer, got {master_seed}")
+
+
+def _check_rates(outcome, *names: str) -> None:
+    for name in names:
+        v = getattr(outcome, name)
+        if not (0.0 <= v <= 1.0):
+            raise ValueError(f"{name} = {v} is not a probability")
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """One Monte Carlo run: network parameters, trial count, seed."""
@@ -69,10 +86,7 @@ class TrialConfig:
     master_seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_trials, int) or self.n_trials < 1:
-            raise ValueError(f"n_trials must be a positive integer, got {self.n_trials}")
-        if not isinstance(self.master_seed, int) or self.master_seed < 0:
-            raise ValueError(f"master_seed must be a non-negative integer, got {self.master_seed}")
+        _check_run(self.n_trials, self.master_seed)
 
 
 @dataclass(frozen=True)
@@ -95,8 +109,7 @@ class ConsensusOutcome:
     mean_successes: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.p_consensus <= 1.0):
-            raise ValueError(f"p_consensus = {self.p_consensus} is not a probability")
+        _check_rates(self, "p_consensus")
         if not (math.isfinite(self.ci_halfwidth) and self.ci_halfwidth >= 0.0):
             raise ValueError("ci_halfwidth must be >= 0")
         if self.n_trials < 1:
@@ -191,7 +204,6 @@ def estimate_coverage(config: TrialConfig) -> CoverageResult:
     return CoverageResult(
         p_dl=p_dl,
         p_ul=p_ul,
-        p_joint=p_dl * p_ul,
         ci_dl=_Z95 * math.sqrt(var_dl),
         ci_ul=_Z95 * math.sqrt(var_ul),
         ci_joint=_Z95 * math.sqrt(max(var_joint, 0.0)),
@@ -242,62 +254,32 @@ def simulate_consensus(config: TrialConfig) -> ConsensusOutcome:
 
 
 @dataclass(frozen=True)
-class AuthSimResult:
-    """Tallies from one authentication simulation.
+class LegitOutcome:
+    """Authentication of enrolled transmitters: ``p_fa`` is the rate at
+    which they are rejected, ``p_mc`` the rate at which the nearest
+    fingerprint is another identity's (unconditional on acceptance)."""
 
-    ``scenario`` is "legit" (enrolled transmitters) or "eve"
-    (intruders).  Rates are exposed as properties and raise when asked
-    of the wrong scenario, since a false-alarm rate of an intruder run
-    would be meaningless.
-    """
-
-    scenario: str
     n_trials: int
-    n_accepted: int
-    n_wrong_index: int
-    n_claimed_accepted: int | None = None
+    p_fa: float
+    p_mc: float
 
     def __post_init__(self) -> None:
-        if self.scenario not in ("legit", "eve"):
-            raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be positive")
-        for name in ("n_accepted", "n_wrong_index", "n_claimed_accepted"):
-            v = getattr(self, name)
-            if v is not None and not 0 <= v <= self.n_trials:
-                raise ValueError(f"{name} = {v} outside [0, n_trials]")
+        _check_rates(self, "p_fa", "p_mc")
 
-    def _require(self, scenario: str, what: str) -> None:
-        if self.scenario != scenario:
-            raise ValueError(f"{what} is defined only for the {scenario!r} scenario")
 
-    @property
-    def p_fa(self) -> float:
-        """Rejection rate of enrolled transmitters."""
-        self._require("legit", "p_fa")
-        return 1.0 - self.n_accepted / self.n_trials
+@dataclass(frozen=True)
+class IntruderOutcome:
+    """Authentication of intruders: ``p_md`` is the rate at which they
+    pass the nearest-fingerprint test, ``p_md_claimed`` the rate at
+    which they pass the window of one uniformly chosen identity they
+    claim."""
 
-    @property
-    def p_md(self) -> float:
-        """Acceptance rate of intruders under the nearest-fingerprint test."""
-        self._require("eve", "p_md")
-        return self.n_accepted / self.n_trials
+    n_trials: int
+    p_md: float
+    p_md_claimed: float
 
-    @property
-    def p_md_claimed(self) -> float:
-        """Acceptance rate of intruders that claim one uniformly chosen
-        identity and are tested against that identity alone."""
-        self._require("eve", "p_md_claimed")
-        if self.n_claimed_accepted is None:
-            raise ValueError("claimed-identity tally missing")
-        return self.n_claimed_accepted / self.n_trials
-
-    @property
-    def p_mc(self) -> float:
-        """Rate of nearest-fingerprint matches landing on a wrong index
-        (unconditional on acceptance)."""
-        self._require("legit", "p_mc")
-        return self.n_wrong_index / self.n_trials
+    def __post_init__(self) -> None:
+        _check_rates(self, "p_md", "p_md_claimed")
 
 
 def simulate_auth(
@@ -306,23 +288,21 @@ def simulate_auth(
     n_trials: int,
     master_seed: int,
     eve_pathlosses=None,
-) -> AuthSimResult:
+) -> LegitOutcome | IntruderOutcome:
     """Run the threshold-plus-nearest-fingerprint test many times.
 
     "legit": each trial picks an enrolled identity uniformly, adds
-    Gaussian noise to its fingerprint, and matches.
+    Gaussian noise to its fingerprint, and matches; returns a
+    ``LegitOutcome``.
     "eve": each trial draws an intruder fingerprint, either uniformly
     from the fixed ``eve_pathlosses`` vector or uniformly over the
     prior support when the vector is omitted; the intruder also claims
     one uniformly chosen identity, tallied separately against that
-    identity's window alone.
+    identity's window alone; returns an ``IntruderOutcome``.
     """
     if scenario not in ("legit", "eve"):
         raise ValueError(f"unknown scenario {scenario!r}")
-    if n_trials < 1:
-        raise ValueError("n_trials must be positive")
-    if master_seed < 0:
-        raise ValueError("master_seed must be non-negative")
+    _check_run(n_trials, master_seed)
     if scenario == "legit" and eve_pathlosses is not None:
         raise ValueError("eve_pathlosses only applies to the 'eve' scenario")
 
@@ -355,10 +335,7 @@ def simulate_auth(
         else:
             n_claimed_accepted += int(np.count_nonzero(profile.accepts(z, claimed)))
 
-    return AuthSimResult(
-        scenario=scenario,
-        n_trials=n_trials,
-        n_accepted=n_accepted,
-        n_wrong_index=n_wrong,
-        n_claimed_accepted=n_claimed_accepted if scenario == "eve" else None,
-    )
+    if scenario == "legit":
+        return LegitOutcome(n_trials, p_fa=1.0 - n_accepted / n_trials, p_mc=n_wrong / n_trials)
+    return IntruderOutcome(n_trials, p_md=n_accepted / n_trials,
+                           p_md_claimed=n_claimed_accepted / n_trials)

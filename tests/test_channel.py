@@ -45,7 +45,7 @@ def test_default_power_ratios():
     # interference scale in the two directions
     assert p.gamma_dl == pytest.approx(0.01, rel=1e-12)
     assert p.gamma_ul == pytest.approx(0.1, rel=1e-12)
-    assert p.p_leader == pytest.approx(1000.0, rel=1e-12)
+    assert db_to_linear(p.p_leader_dbm) == pytest.approx(1000.0, rel=1e-12)
 
 
 def test_default_intensity_is_fifteen_nodes():
@@ -108,15 +108,16 @@ def test_rayleigh_coverage_matches_fading_tally():
     d_jam = np.sqrt(50.0**2 + rng.random(6) * (300.0**2 - 50.0**2))
     r = 200.0
     n, chunk = 1_000_000, 250_000
-    for p_tx, beta, beta_gamma in ((p.p_leader, p.beta_dl, p.beta_dl * p.gamma_dl),
-                                   (p.p_follower, p.beta_ul, p.beta_ul * p.gamma_ul)):
+    p_jammer = db_to_linear(p.p_jammer_dbm)
+    for p_tx_dbm, beta, beta_gamma in ((p.p_leader_dbm, p.beta_dl, p.beta_dl * p.gamma_dl),
+                                       (p.p_follower_dbm, p.beta_ul, p.beta_ul * p.gamma_ul)):
         exact = rayleigh_coverage([r], d_jam, np.zeros(d_jam.size, int), beta_gamma,
                                   p.alpha)[0]
         hits = 0
         for _ in range(n // chunk):
-            signal = p_tx * rng.exponential(1.0, chunk) * r ** -p.alpha
+            signal = db_to_linear(p_tx_dbm) * rng.exponential(1.0, chunk) * r ** -p.alpha
             interference = (rng.exponential(1.0, (chunk, d_jam.size))
-                            * (p.p_jammer * d_jam ** -p.alpha)).sum(axis=1)
+                            * (p_jammer * d_jam ** -p.alpha)).sum(axis=1)
             hits += int(np.count_nonzero(signal > beta * interference))
         se = np.sqrt(exact * (1.0 - exact) / n)
         assert 0.05 < exact < 0.95

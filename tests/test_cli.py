@@ -305,6 +305,32 @@ def test_sweep_points_are_counted_not_listed(tmp_path, capsys, monkeypatch, stop
         assert "10000 sweep points" in out
 
 
+def test_last_sweep_point_stops_at_stop(tmp_path):
+    # the count's float guard admits a second point; start + step would
+    # be 1.0, where no false-alarm budget is defined
+    cfg = base_config(tmp_path, scenario="roc")
+    cfg["sweep"] = {"variable": "p_fa", "start": 0.5, "stop": 0.999999999999, "step": 0.5}
+    cfg["auth"] = {"m": 5, "n_eves": 5, "profile_seed": 28294}
+    cfg["output"] = {"path": str(tmp_path / "out.json"), "format": "json"}
+    assert cli.main(["--config", write_config(tmp_path, cfg), "--trials", "2000"]) == 0
+    rows = json.loads((tmp_path / "out.json").read_text())["rows"]
+    assert [r["p_fa"] for r in rows] == [0.5, 0.999999999999]
+
+
+@pytest.mark.parametrize("m, n_eves, code", [
+    (1000, 10_000, 0), (1000, 10_001, 2), (10**5, 10**5, 2),
+])
+def test_auth_pairs_are_bounded(tmp_path, capsys, m, n_eves, code):
+    # the closed-form missed detection holds every (intruder, fingerprint)
+    # pair; validation bounds them before any fingerprint is drawn
+    path = write_config(tmp_path, auth_config(tmp_path, m=m, n_eves=n_eves))
+    assert cli.main(["--config", path, "--validate-only"]) == code
+    if code:
+        assert capsys.readouterr().err == (
+            f"config error: line {line_of(path, 'n_eves')}: auth.n_eves: m * n_eves = "
+            f"{m * n_eves} is more than 10000000 (intruder, fingerprint) pairs\n")
+
+
 SCALARS = [pytest.param(section, key, spec, id=f"{section or 'top'}.{key}")
            for section, table in cli._SCALARS.items() for key, spec in table.items()
            if spec[0] is not dict]

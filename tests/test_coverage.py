@@ -275,16 +275,11 @@ def test_dl_beats_ul_at_equal_threshold():
 # ------------------------------------------------------------------ result
 
 
-def test_result_rejects_inconsistent_joint():
-    with pytest.raises(ValueError):
-        CoverageResult(p_dl=0.9, p_ul=0.9, p_joint=0.5)
-
-
 def test_result_rejects_out_of_range():
     with pytest.raises(ValueError):
-        CoverageResult(p_dl=1.2, p_ul=0.9, p_joint=1.08)
+        CoverageResult(p_dl=1.2, p_ul=0.9)
 
 
 def test_result_rejects_negative_ci():
     with pytest.raises(ValueError):
-        CoverageResult(p_dl=0.5, p_ul=0.5, p_joint=0.25, ci_dl=-0.1)
+        CoverageResult(p_dl=0.5, p_ul=0.5, ci_dl=-0.1)

@@ -18,8 +18,9 @@ from raftguard.coverage import coverage_joint
 from raftguard.geometry import AnnulusRegion, DiskRegion, annulus_radii, link_distances
 from raftguard.montecarlo import (
     CHUNK_SIZE,
-    AuthSimResult,
     ConsensusOutcome,
+    IntruderOutcome,
+    LegitOutcome,
     TrialConfig,
     estimate_coverage,
     simulate_auth,
@@ -342,10 +343,10 @@ def test_consensus_outcome_validation():
 
 def test_auth_result_guards_scenario():
     res = simulate_auth(profile(), "legit", 2000, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(AttributeError):
         _ = res.p_md
     ev = simulate_auth(profile(), "eve", 2000, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(AttributeError):
         _ = ev.p_fa
     assert 0.0 <= ev.p_md <= 1.0
     assert 0.0 <= ev.p_md_claimed <= 1.0
@@ -361,10 +362,21 @@ def test_auth_rejects_eves_for_legit_runs():
         simulate_auth(profile(), "legit", 100, 0, eve_pathlosses=[50.0])
 
 
-def test_auth_result_count_bounds():
+def test_auth_result_rate_bounds():
     with pytest.raises(ValueError):
-        AuthSimResult(scenario="legit", n_trials=10, n_accepted=11,
-                      n_wrong_index=0)
+        LegitOutcome(n_trials=10, p_fa=-0.1, p_mc=0.0)
     with pytest.raises(ValueError):
-        AuthSimResult(scenario="eve", n_trials=10, n_accepted=0,
-                      n_wrong_index=0, n_claimed_accepted=11)
+        LegitOutcome(n_trials=10, p_fa=0.0, p_mc=1.1)
+    with pytest.raises(ValueError):
+        IntruderOutcome(n_trials=10, p_md=1.1, p_md_claimed=0.0)
+    with pytest.raises(ValueError):
+        IntruderOutcome(n_trials=10, p_md=0.0, p_md_claimed=-0.1)
+
+
+@pytest.mark.parametrize("n_trials, master_seed", [(100.0, 1), (100, 1.5), (0, 1), (100, -1)])
+def test_auth_rejects_non_integer_run_arguments(n_trials, master_seed):
+    # the same check as TrialConfig's, before any trial is drawn
+    with pytest.raises(ValueError):
+        simulate_auth(profile(), "legit", n_trials, master_seed)
+    with pytest.raises(ValueError):
+        TrialConfig(params(), n_trials, master_seed)
