@@ -124,10 +124,12 @@ def _derive_seed(master_seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _profile_arrays(config: ExperimentConfig):
+def _profile_arrays(config: ExperimentConfig, n_eves: int):
+    """The m enrolled fingerprints, which do not depend on ``n_eves``,
+    and ``n_eves`` intruder fingerprints."""
     a = config.auth
     rng = np.random.default_rng(a.profile_seed)
-    return sample_fingerprints(a.m, a.n_eves, config.params.disk, config.params.alpha, rng)
+    return sample_fingerprints(a.m, n_eves, config.params.disk, config.params.alpha, rng)
 
 
 def _profile(config: ExperimentConfig, gt: np.ndarray, sigma: float, eps: float) -> AuthProfile:
@@ -174,7 +176,7 @@ def _coverage_row(config: ExperimentConfig, index: int, value: float) -> dict:
 
 
 def _auth_row(config: ExperimentConfig, index: int, value: float) -> dict:
-    gt, eve = _profile_arrays(config)
+    gt, eve = _profile_arrays(config, config.auth.n_eves)
     sigma = lq_db_to_sigma(value)
     eps = config.auth.epsilon_db
     profile = _profile(config, gt, sigma, eps)
@@ -195,7 +197,7 @@ def _auth_row(config: ExperimentConfig, index: int, value: float) -> dict:
 
 
 def _roc_row(config: ExperimentConfig, index: int, value: float) -> dict:
-    gt, _ = _profile_arrays(config)
+    gt, _ = _profile_arrays(config, 0)
     sigma = lq_db_to_sigma(config.auth.lq_db)
     eps = threshold_for_pfa(value, sigma)
     profile = _profile(config, gt, sigma, eps)
@@ -261,8 +263,8 @@ _MAX_SWEEP_POINTS = 10_000
 # about 4.5 min for one coverage point at 3.7e6 trials/s; the shipped
 # configs use 1e5
 _MAX_TRIALS = 10**9
-# (intruder, fingerprint) pairs of one p_md_closed_form call, at about
-# 58 bytes each: 0.6 GB
+# (intruder, fingerprint) pairs of one auth closed form, at about 58
+# bytes each in p_md_closed_form: 0.6 GB
 _MAX_AUTH_PAIRS = 10**7
 
 # Every config key: section -> key -> (type, bound, default), in the
@@ -442,9 +444,14 @@ def build_config(data: dict, raw_text: str, overrides: dict | None = None) -> Ex
         errors.add("params.disk_radius_m",
                    f"must be > 1 for an auth scenario, got {params.disk.radius}")
     auth = AuthSettings(**top["auth"]) if _passed(top["auth"]) else None
-    if auth is not None and auth.m * auth.n_eves > _MAX_AUTH_PAIRS:
-        errors.add("auth.n_eves", f"m * n_eves = {auth.m * auth.n_eves} is more than "
-                                  f"{_MAX_AUTH_PAIRS} (intruder, fingerprint) pairs")
+    if auth is not None and spec and spec.needs_auth:
+        # roc's one intruder is uniform over the prior support and meets
+        # each fingerprint once; it draws no intruder fingerprints
+        key, count, pairs = (("m", "m", auth.m) if scenario == "roc"
+                             else ("n_eves", "m * n_eves", auth.m * auth.n_eves))
+        if pairs > _MAX_AUTH_PAIRS:
+            errors.add(f"auth.{key}", f"{count} = {pairs} is more than "
+                                      f"{_MAX_AUTH_PAIRS} (intruder, fingerprint) pairs")
     if spec and spec.needs_auth and doc.get("auth") is None:
         errors.add("auth", "this scenario requires an auth block")
 
@@ -463,6 +470,8 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
             raw_text = fh.read()
     except OSError as exc:
         raise ConfigError([f"{path}: {exc.strerror or exc}"])
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"])
     try:
         data = json.loads(raw_text)
     except json.JSONDecodeError as exc:

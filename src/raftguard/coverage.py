@@ -60,24 +60,18 @@ _OUTER_NODES = 96
 
 @dataclass(frozen=True)
 class CoverageResult:
-    """Joint downlink/uplink coverage evaluation.
+    """Joint downlink/uplink coverage evaluated analytically.
 
-    ``p_joint`` is the product of the marginals; the Monte Carlo
-    engine fills in the confidence half-widths, analytic evaluations
-    fill in the quadrature error estimate.  For the closed form that is
-    the larger over the two directions of |Q_n - Q_(n/2)|, the gap
-    between the fixed outer rule and its embedded half-order rule; for
-    the ``"quadrature"`` oracle it is the adaptive outer integral's own
-    estimate.
+    ``p_joint`` is the product of the marginals.  For the closed form
+    the quadrature error estimate is the larger over the two directions
+    of |Q_n - Q_(n/2)|, the gap between the fixed outer rule and its
+    embedded half-order rule; for the ``"quadrature"`` oracle it is the
+    adaptive outer integral's own estimate.
     """
 
     p_dl: float
     p_ul: float
-    quadrature_error_estimate: float = 0.0
-    ci_dl: float | None = None
-    ci_ul: float | None = None
-    ci_joint: float | None = None
-    n_trials: int | None = None
+    quadrature_error_estimate: float
 
     def __post_init__(self) -> None:
         for name in ("p_dl", "p_ul"):
@@ -86,10 +80,6 @@ class CoverageResult:
                 raise ValueError(f"{name} = {v} is not a probability")
         if not (math.isfinite(self.quadrature_error_estimate) and self.quadrature_error_estimate >= 0.0):
             raise ValueError("quadrature_error_estimate must be >= 0")
-        for name in ("ci_dl", "ci_ul", "ci_joint"):
-            v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be >= 0 when present")
 
     @property
     def p_joint(self) -> float:

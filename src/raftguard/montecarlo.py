@@ -21,6 +21,7 @@ Wireless Networks, 2012).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +29,12 @@ from scipy.special import chndtr
 
 from raftguard.auth import AuthProfile
 from raftguard.channel import NetworkParams, rayleigh_coverage
-from raftguard.coverage import CoverageResult
 from raftguard.geometry import annulus_radii, link_distances
 from raftguard.specfun import gauss_legendre, q_inverse
 
 __all__ = [
     "TrialConfig",
+    "CoverageEstimate",
     "ConsensusOutcome",
     "LegitOutcome",
     "IntruderOutcome",
@@ -61,20 +62,34 @@ def _disk_rule() -> tuple[np.ndarray, np.ndarray]:
     return s * s, 2.0 * w * s**3
 
 
-def _check_run(n_trials: int, master_seed: int) -> None:
-    """Reject a trial count or master seed that is not an integer, or
-    out of range."""
-    if not isinstance(n_trials, int) or n_trials < 1:
-        raise ValueError(f"n_trials must be a positive integer, got {n_trials}")
-    if not isinstance(master_seed, int) or master_seed < 0:
-        raise ValueError(f"master_seed must be a non-negative integer, got {master_seed}")
+def _as_int(value, name: str, minimum: int, kind: str) -> int:
+    """``value`` as a Python int, numpy integers included; a bool, a
+    value that is not an integer, or one below ``minimum`` is rejected."""
+    try:
+        index = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or index < minimum:
+        raise ValueError(f"{name} must be a {kind} integer, got {value}")
+    return index
 
 
-def _check_rates(outcome, *names: str) -> None:
+def _check_run(n_trials, master_seed) -> tuple[int, int]:
+    """The trial count and master seed as Python ints, checked."""
+    return (_as_int(n_trials, "n_trials", 1, "positive"),
+            _as_int(master_seed, "master_seed", 0, "non-negative"))
+
+
+def _check_rates(outcome, *names: str, halfwidths: tuple[str, ...] = ()) -> None:
+    """Reject a rate outside [0, 1], or a half-width below 0 or not finite."""
     for name in names:
         v = getattr(outcome, name)
         if not (0.0 <= v <= 1.0):
             raise ValueError(f"{name} = {v} is not a probability")
+    for name in halfwidths:
+        v = getattr(outcome, name)
+        if not (math.isfinite(v) and v >= 0.0):
+            raise ValueError(f"{name} must be >= 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +101,9 @@ class TrialConfig:
     master_seed: int
 
     def __post_init__(self) -> None:
-        _check_run(self.n_trials, self.master_seed)
+        n_trials, master_seed = _check_run(self.n_trials, self.master_seed)
+        object.__setattr__(self, "n_trials", n_trials)
+        object.__setattr__(self, "master_seed", master_seed)
 
 
 @dataclass(frozen=True)
@@ -109,9 +126,7 @@ class ConsensusOutcome:
     mean_successes: float
 
     def __post_init__(self) -> None:
-        _check_rates(self, "p_consensus")
-        if not (math.isfinite(self.ci_halfwidth) and self.ci_halfwidth >= 0.0):
-            raise ValueError("ci_halfwidth must be >= 0")
+        _check_rates(self, "p_consensus", halfwidths=("ci_halfwidth",))
         if self.n_trials < 1:
             raise ValueError("n_trials must be positive")
         if self.mean_followers < 0.0 or self.mean_successes < 0.0:
@@ -176,7 +191,26 @@ class _TrialMean:
         return self.m2 / ((self.n - 1) * self.n) if self.n > 1 else np.zeros_like(self.m2)
 
 
-def estimate_coverage(config: TrialConfig) -> CoverageResult:
+@dataclass(frozen=True)
+class CoverageEstimate:
+    """Simulated coverage: trial averages and their 95 % half-widths."""
+
+    n_trials: int
+    p_dl: float
+    p_ul: float
+    ci_dl: float
+    ci_ul: float
+    ci_joint: float
+
+    def __post_init__(self) -> None:
+        _check_rates(self, "p_dl", "p_ul", halfwidths=("ci_dl", "ci_ul", "ci_joint"))
+
+    @property
+    def p_joint(self) -> float:
+        return self.p_dl * self.p_ul
+
+
+def estimate_coverage(config: TrialConfig) -> CoverageEstimate:
     """Downlink/uplink coverage of the typical follower, averaged over
     simulated geometry.
 
@@ -201,13 +235,13 @@ def estimate_coverage(config: TrialConfig) -> CoverageResult:
     (var_dl, cov), (_, var_ul) = both.covariance
     var_joint = (p_ul * p_ul * var_dl + p_dl * p_dl * var_ul
                  + 2.0 * p_dl * p_ul * cov)
-    return CoverageResult(
+    return CoverageEstimate(
+        n_trials=config.n_trials,
         p_dl=p_dl,
         p_ul=p_ul,
         ci_dl=_Z95 * math.sqrt(var_dl),
         ci_ul=_Z95 * math.sqrt(var_ul),
         ci_joint=_Z95 * math.sqrt(max(var_joint, 0.0)),
-        n_trials=config.n_trials,
     )
 
 
@@ -302,7 +336,7 @@ def simulate_auth(
     """
     if scenario not in ("legit", "eve"):
         raise ValueError(f"unknown scenario {scenario!r}")
-    _check_run(n_trials, master_seed)
+    n_trials, master_seed = _check_run(n_trials, master_seed)
     if scenario == "legit" and eve_pathlosses is not None:
         raise ValueError("eve_pathlosses only applies to the 'eve' scenario")
 

@@ -331,6 +331,25 @@ def test_auth_pairs_are_bounded(tmp_path, capsys, m, n_eves, code):
             f"{m * n_eves} is more than 10000000 (intruder, fingerprint) pairs\n")
 
 
+@pytest.mark.parametrize("scenario, m, n_eves, key", [
+    ("roc", 5000, 5000, None), ("roc", 10**7 + 1, 1, "m"),
+    ("coverage_vs_beta", 10**5, 10**5, None),
+])
+def test_auth_pairs_count_what_the_scenario_builds(tmp_path, capsys, scenario, m, n_eves, key):
+    # roc pairs its one uniform intruder with each fingerprint and never
+    # reads n_eves; a coverage scenario builds no pairs at all
+    cfg = base_config(tmp_path, scenario=scenario)
+    if scenario == "roc":
+        cfg["sweep"] = {"variable": "p_fa", "start": 0.1, "stop": 0.2, "step": 0.1}
+    cfg["auth"] = {"m": m, "n_eves": n_eves, "profile_seed": 1}
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["--config", path, "--validate-only"]) == (2 if key else 0)
+    if key:
+        assert capsys.readouterr().err == (
+            f"config error: line {line_of(path, key)}: auth.m: m = {m} is more than "
+            f"10000000 (intruder, fingerprint) pairs\n")
+
+
 SCALARS = [pytest.param(section, key, spec, id=f"{section or 'top'}.{key}")
            for section, table in cli._SCALARS.items() for key, spec in table.items()
            if spec[0] is not dict]
@@ -429,6 +448,14 @@ def test_auth_scenario_requires_auth_block(tmp_path, capsys):
 def test_missing_config_file(tmp_path, capsys):
     assert cli.main(["--config", str(tmp_path / "nope.json"), "--validate-only"]) == 2
     assert capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"scenario": "roc", \xff}')
+    assert cli.main(["--config", str(path), "--validate-only"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {path}: not UTF-8 text: invalid start byte at byte 20\n")
 
 
 def test_diagnostics_enumerate_all_problems(tmp_path, capsys):

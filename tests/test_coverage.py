@@ -277,9 +277,6 @@ def test_dl_beats_ul_at_equal_threshold():
 
 def test_result_rejects_out_of_range():
     with pytest.raises(ValueError):
-        CoverageResult(p_dl=1.2, p_ul=0.9)
-
-
-def test_result_rejects_negative_ci():
+        CoverageResult(p_dl=1.2, p_ul=0.9, quadrature_error_estimate=0.0)
     with pytest.raises(ValueError):
-        CoverageResult(p_dl=0.5, p_ul=0.5, ci_dl=-0.1)
+        CoverageResult(p_dl=0.5, p_ul=0.5, quadrature_error_estimate=-1e-9)

@@ -19,6 +19,7 @@ from raftguard.geometry import AnnulusRegion, DiskRegion, annulus_radii, link_di
 from raftguard.montecarlo import (
     CHUNK_SIZE,
     ConsensusOutcome,
+    CoverageEstimate,
     IntruderOutcome,
     LegitOutcome,
     TrialConfig,
@@ -92,6 +93,7 @@ def test_coverage_regression():
     assert res.p_dl == pytest.approx(0.9949087921021167, abs=1e-14)
     assert res.p_ul == pytest.approx(0.9776732922340369, abs=1e-14)
     assert res.p_joint == pytest.approx(0.9726957542470653, abs=1e-14)
+    assert res.ci_dl == pytest.approx(0.00026314061380330916, rel=1e-10)
     assert res.ci_ul == pytest.approx(0.0005474724804412978, rel=1e-10)
     assert res.ci_joint == pytest.approx(0.0007709094657247686, rel=1e-10)
 
@@ -341,6 +343,18 @@ def test_consensus_outcome_validation():
                          mean_followers=1.0, mean_successes=1.0)
 
 
+def test_coverage_estimate_rejects_negative_ci():
+    with pytest.raises(ValueError):
+        CoverageEstimate(n_trials=10, p_dl=0.5, p_ul=0.5, ci_dl=-0.1, ci_ul=0.0, ci_joint=0.0)
+
+
+def test_each_coverage_route_holds_only_what_it_measured():
+    with pytest.raises(AttributeError):
+        _ = coverage_joint(params()).ci_dl
+    with pytest.raises(AttributeError):
+        _ = estimate_coverage(TrialConfig(params(), 100, 1)).quadrature_error_estimate
+
+
 def test_auth_result_guards_scenario():
     res = simulate_auth(profile(), "legit", 2000, 8)
     with pytest.raises(AttributeError):
@@ -373,10 +387,21 @@ def test_auth_result_rate_bounds():
         IntruderOutcome(n_trials=10, p_md=0.0, p_md_claimed=-0.1)
 
 
-@pytest.mark.parametrize("n_trials, master_seed", [(100.0, 1), (100, 1.5), (0, 1), (100, -1)])
+@pytest.mark.parametrize("n_trials, master_seed", [
+    (100.0, 1), (100, 1.5), (0, 1), (100, -1), (True, 1), (100, False),
+])
 def test_auth_rejects_non_integer_run_arguments(n_trials, master_seed):
     # the same check as TrialConfig's, before any trial is drawn
     with pytest.raises(ValueError):
         simulate_auth(profile(), "legit", n_trials, master_seed)
     with pytest.raises(ValueError):
         TrialConfig(params(), n_trials, master_seed)
+
+
+def test_run_arguments_accept_numpy_integers():
+    cfg = TrialConfig(params(), np.int64(100), np.uint32(1))
+    assert (type(cfg.n_trials), type(cfg.master_seed)) == (int, int)
+    assert estimate_coverage(cfg) == estimate_coverage(TrialConfig(params(), 100, 1))
+    res = simulate_auth(profile(), "legit", np.int64(100), np.int64(3))
+    assert type(res.n_trials) is int
+    assert res == simulate_auth(profile(), "legit", 100, 3)
