@@ -135,8 +135,8 @@ def sample_fingerprints(
     followers = uniform_disk_points(m, disk, rng)
     intruders = uniform_disk_points(n_intruders, disk, rng)
     gt = pathloss_db(np.hypot(followers[:, 0], followers[:, 1]), alpha)
-    eve = pathloss_db(np.hypot(intruders[:, 0], intruders[:, 1]), alpha) if n_intruders else np.empty(0)
-    return np.atleast_1d(gt), np.atleast_1d(eve)
+    eve = pathloss_db(np.hypot(intruders[:, 0], intruders[:, 1]), alpha)
+    return gt, eve
 
 
 def threshold_for_pfa(p_fa_target: float, sigma: float) -> float:

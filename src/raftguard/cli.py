@@ -18,6 +18,7 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -124,20 +125,16 @@ def _derive_seed(master_seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _profile_arrays(config: ExperimentConfig, n_eves: int):
-    """The m enrolled fingerprints, which do not depend on ``n_eves``,
-    and ``n_eves`` intruder fingerprints."""
-    a = config.auth
+def _profile(config: ExperimentConfig, n_eves: int, sigma: float,
+             eps: float) -> tuple[AuthProfile, np.ndarray]:
+    """The leader's profile of the m enrolled fingerprints, its intruder
+    prior support running up to the pathloss at the config's disk edge,
+    and ``n_eves`` intruder fingerprints, drawn after the enrolled ones."""
+    p, a = config.params, config.auth
     rng = np.random.default_rng(a.profile_seed)
-    return sample_fingerprints(a.m, n_eves, config.params.disk, config.params.alpha, rng)
-
-
-def _profile(config: ExperimentConfig, gt: np.ndarray, sigma: float, eps: float) -> AuthProfile:
-    """The leader's profile, its intruder prior support running up to
-    the pathloss at the config's disk edge."""
-    p = config.params
+    gt, eve = sample_fingerprints(a.m, n_eves, p.disk, p.alpha, rng)
     return AuthProfile(ground_truth=gt, sigma=sigma, epsilon=eps,
-                       psi_max=float(pathloss_db(p.disk.radius, p.alpha)))
+                       psi_max=float(pathloss_db(p.disk.radius, p.alpha))), eve
 
 
 def _beta_point(p: NetworkParams, value: float) -> NetworkParams:
@@ -155,9 +152,10 @@ def _jam_distance_point(p: NetworkParams, value: float) -> NetworkParams:
     return replace(p, annulus=AnnulusRegion(value, value + 50.0))
 
 
-def _coverage_row(config: ExperimentConfig, index: int, value: float) -> dict:
+def _coverage_row(point_at: Callable[[NetworkParams, float], NetworkParams],
+                  config: ExperimentConfig, index: int, value: float) -> dict:
     var = config.sweep.variable
-    point = SCENARIOS[config.scenario].point(config.params, value)
+    point = point_at(config.params, value)
     ana = coverage_joint(point)
     mc = estimate_coverage(TrialConfig(point, config.n_trials, _derive_seed(config.master_seed, index)))
     gaps = (abs(ana.p_dl - mc.p_dl), abs(ana.p_ul - mc.p_ul), abs(ana.p_joint - mc.p_joint))
@@ -176,10 +174,9 @@ def _coverage_row(config: ExperimentConfig, index: int, value: float) -> dict:
 
 
 def _auth_row(config: ExperimentConfig, index: int, value: float) -> dict:
-    gt, eve = _profile_arrays(config, config.auth.n_eves)
     sigma = lq_db_to_sigma(value)
     eps = config.auth.epsilon_db
-    profile = _profile(config, gt, sigma, eps)
+    profile, eve = _profile(config, config.auth.n_eves, sigma, eps)
     legit = simulate_auth(profile, "legit", config.n_trials,
                           _derive_seed(config.master_seed, index, 0))
     eves = simulate_auth(profile, "eve", config.n_trials,
@@ -197,10 +194,9 @@ def _auth_row(config: ExperimentConfig, index: int, value: float) -> dict:
 
 
 def _roc_row(config: ExperimentConfig, index: int, value: float) -> dict:
-    gt, _ = _profile_arrays(config, 0)
     sigma = lq_db_to_sigma(config.auth.lq_db)
     eps = threshold_for_pfa(value, sigma)
-    profile = _profile(config, gt, sigma, eps)
+    profile, _ = _profile(config, 0, sigma, eps)
     p_d_cf = roc_curve(profile, [value])[0][2]
     sim = simulate_auth(profile, "eve", config.n_trials,
                         _derive_seed(config.master_seed, index))
@@ -227,27 +223,29 @@ def _radius_sweep(sweep: SweepSpec) -> str | None:
 @dataclass(frozen=True)
 class Scenario:
     """One sweep scenario: the variable it sweeps, its output columns,
-    the function computing one row, whether it needs an ``auth`` block,
-    the sweep-domain check (a diagnostic, or None), and for coverage
-    scenarios the network parameters at one sweep value."""
+    the function computing one row, the ``auth`` keys whose product
+    counts the (intruder, fingerprint) pairs its closed form holds (none
+    for a scenario without an ``auth`` block), and the sweep-domain check."""
 
     variable: str
     columns: list[str]
     row: Callable[[ExperimentConfig, int, float], dict]
-    needs_auth: bool = False
+    pairs: tuple[str, ...] = ()
     domain_error: Callable[[SweepSpec], str | None] = lambda sweep: None
-    point: Callable[[NetworkParams, float], NetworkParams] | None = None
 
 
 SCENARIOS = {
-    "coverage_vs_beta": Scenario("beta_db", COVERAGE_COLUMNS, _coverage_row, point=_beta_point),
-    "coverage_vs_jam_area": Scenario("z2", COVERAGE_COLUMNS, _coverage_row,
-                                     domain_error=_radius_sweep, point=_jam_area_point),
-    "coverage_vs_jam_distance": Scenario("z1", COVERAGE_COLUMNS, _coverage_row,
-                                         domain_error=_radius_sweep, point=_jam_distance_point),
-    "auth_errors_vs_lq": Scenario("lq_db", AUTH_COLUMNS, _auth_row, needs_auth=True),
-    "roc": Scenario("p_fa", ROC_COLUMNS, _roc_row, needs_auth=True,
-                    domain_error=_probability_sweep),
+    "coverage_vs_beta": Scenario("beta_db", COVERAGE_COLUMNS, partial(_coverage_row, _beta_point)),
+    "coverage_vs_jam_area": Scenario("z2", COVERAGE_COLUMNS,
+                                     partial(_coverage_row, _jam_area_point),
+                                     domain_error=_radius_sweep),
+    "coverage_vs_jam_distance": Scenario("z1", COVERAGE_COLUMNS,
+                                         partial(_coverage_row, _jam_distance_point),
+                                         domain_error=_radius_sweep),
+    "auth_errors_vs_lq": Scenario("lq_db", AUTH_COLUMNS, _auth_row, pairs=("m", "n_eves")),
+    # roc's one intruder is uniform over the prior support and meets each
+    # fingerprint once; it draws no intruder fingerprints
+    "roc": Scenario("p_fa", ROC_COLUMNS, _roc_row, pairs=("m",), domain_error=_probability_sweep),
 }
 
 
@@ -295,7 +293,7 @@ _SCALARS = {
     },
     "auth": {
         "m": (int, 1, _REQUIRED),
-        "n_eves": (int, 1, _REQUIRED),
+        "n_eves": (int, 1, 5),
         "profile_seed": (int, 0, _REQUIRED),
         "epsilon_db": (float, 0, 1.0),
         "lq_db": (float, None, 10.0),
@@ -439,20 +437,17 @@ def build_config(data: dict, raw_text: str, overrides: dict | None = None) -> Ex
             errors.add("sweep.start", problem)
 
     params = _network_params(top["params"], errors) if _passed(top["params"]) else None
-    if spec and spec.needs_auth and params is not None and params.disk.radius <= 1.0:
+    pairs = spec.pairs if spec else ()
+    if pairs and params is not None and params.disk.radius <= 1.0:
         # the intruder prior support is [0, pathloss at the disk edge] dB
         errors.add("params.disk_radius_m",
                    f"must be > 1 for an auth scenario, got {params.disk.radius}")
     auth = AuthSettings(**top["auth"]) if _passed(top["auth"]) else None
-    if auth is not None and spec and spec.needs_auth:
-        # roc's one intruder is uniform over the prior support and meets
-        # each fingerprint once; it draws no intruder fingerprints
-        key, count, pairs = (("m", "m", auth.m) if scenario == "roc"
-                             else ("n_eves", "m * n_eves", auth.m * auth.n_eves))
-        if pairs > _MAX_AUTH_PAIRS:
-            errors.add(f"auth.{key}", f"{count} = {pairs} is more than "
-                                      f"{_MAX_AUTH_PAIRS} (intruder, fingerprint) pairs")
-    if spec and spec.needs_auth and doc.get("auth") is None:
+    count = math.prod(getattr(auth, key) for key in pairs) if auth else 0
+    if count > _MAX_AUTH_PAIRS:
+        errors.add(f"auth.{pairs[-1]}", f"{' * '.join(pairs)} = {count} is more than "
+                                        f"{_MAX_AUTH_PAIRS} (intruder, fingerprint) pairs")
+    if pairs and doc.get("auth") is None:
         errors.add("auth", "this scenario requires an auth block")
 
     if errors.errors:

@@ -126,7 +126,8 @@ def test_nearest_matches_brute_force_argmin(m):
     for trial in range(10):
         if trial % 2:
             # continuous fingerprints, as sampled for a deployment
-            gt, _ = sample_fingerprints(m, 0, DiskRegion(500.0), 3.0, rng)
+            gt, eve = sample_fingerprints(m, 0, DiskRegion(500.0), 3.0, rng)
+            assert eve.shape == (0,) and eve.dtype == np.float64
         else:
             # a quarter-dB grid: duplicates are common and midpoints exact
             gt = 10.0 + 0.25 * rng.integers(0, 2 * m + 2, m)

@@ -1,4 +1,5 @@
 import json
+import pathlib
 from dataclasses import replace
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from raftguard import cli
 
 RHO = 1.9098593171027442e-05
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(autouse=True)
@@ -415,6 +417,52 @@ def test_every_bounded_key_rejects_a_value_below_its_minimum(tmp_path, capsys, s
     path, prefix = schema_case(tmp_path, section, key, value)
     assert cli.main(["--config", path, "--validate-only"]) == 2
     assert capsys.readouterr().err == f"{prefix}must be >= {minimum}, got {kind(value)}\n"
+
+
+REQUIRED = [pytest.param(section, key, id=f"{section or 'top'}.{key}")
+            for section, table in cli._SCALARS.items() for key, spec in table.items()
+            if spec[2] is cli._REQUIRED]
+
+
+@pytest.mark.parametrize("section, key", REQUIRED)
+def test_every_required_key_is_reported_missing(tmp_path, capsys, section, key):
+    cfg = auth_config(tmp_path)
+    del (cfg[section] if section else cfg)[key]
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["--config", path, "--validate-only"]) == 2
+    # the key is absent, so there is no line to anchor the diagnostic to
+    name = f"{section}.{key}" if section else key
+    assert capsys.readouterr().err == f"config error: {name}: missing required key\n"
+
+
+def output_bytes(tmp_path, cfg, name):
+    cfg["output"] = {"path": str(tmp_path / f"{name}.json"), "format": "json"}
+    assert cli.main(["--config", write_config(tmp_path, cfg, f"{name}.cfg.json"),
+                     "--trials", "2000"]) == 0
+    return (tmp_path / f"{name}.json").read_bytes()
+
+
+def run_without_n_eves(tmp_path, cfg):
+    """The output bytes of ``cfg`` as given and with ``auth.n_eves`` removed."""
+    given = output_bytes(tmp_path, cfg, "given")
+    del cfg["auth"]["n_eves"]
+    return given, output_bytes(tmp_path, cfg, "omitted")
+
+
+def test_roc_runs_without_n_eves(tmp_path):
+    # roc never reads n_eves, so omitting it changes no output byte
+    cfg = json.loads((CONFIGS / "roc.json").read_text())
+    assert cfg["auth"]["n_eves"] == 5
+    given, omitted = run_without_n_eves(tmp_path, cfg)
+    assert omitted == given
+
+
+def test_n_eves_defaults_to_five(tmp_path):
+    cfg = auth_config(tmp_path)
+    assert cfg["auth"]["n_eves"] == 5
+    given, omitted = run_without_n_eves(tmp_path, cfg)
+    assert omitted == given
+    assert cli.load_config(str(tmp_path / "omitted.cfg.json")).auth.n_eves == 5
 
 
 @pytest.mark.parametrize("scenario", ["coverage_vs_nothing", ["roc"]])

@@ -1,5 +1,6 @@
 """Structural guards: the simulated route stays independent of the
-closed forms, and every exported name exists."""
+closed forms, only the CLI's scenario table names a scenario, and every
+exported name exists."""
 
 import ast
 import importlib
@@ -8,7 +9,7 @@ import pkgutil
 import pytest
 
 import raftguard
-from raftguard import montecarlo
+from raftguard import cli, montecarlo
 
 CLOSED_FORMS = {
     "coverage_dl",
@@ -48,6 +49,20 @@ def test_montecarlo_imports_no_closed_form_and_no_private_name():
         assert not name.startswith("_"), f"private {module}.{name}"
         assert name not in CLOSED_FORMS and not name.endswith("_closed_form"), (
             f"closed form {module}.{name}")
+
+
+def test_only_the_scenario_table_names_a_scenario():
+    # every per-scenario rule in the CLI derives from the scenario's entry
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    table = next(node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "SCENARIOS" for t in node.targets))
+    assert isinstance(table, ast.Dict)
+    assert [key.value for key in table.keys] == list(cli.SCENARIOS)
+    keys = {id(key) for key in table.keys}
+    stray = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant)
+             and node.value in cli.SCENARIOS and id(node) not in keys]
+    assert not stray, f"scenario names outside SCENARIOS at cli.py lines {stray}"
 
 
 def submodules():
