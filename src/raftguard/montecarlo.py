@@ -116,7 +116,9 @@ class ConsensusOutcome:
     expected follower count rho_t * |disk|, and ``mean_successes`` the
     trial average of the expected count of two-way covered followers,
     from a 16-node disk rule whose nodes crowd toward the leader, so
-    that coverage confined near the leader is still resolved.
+    that coverage confined near the leader is still resolved.  Two-way
+    coverage at a node is the joint probability that both directions
+    pass, taken in one evaluation, not the product of two marginals.
     """
 
     p_consensus: float
@@ -256,7 +258,10 @@ def simulate_consensus(config: TrialConfig) -> ConsensusOutcome:
     followers are independent Poisson counts S and U with means
     Lambda_s = rho_t * integral over the disk of p_dl * p_ul and
     Lambda_u = rho_t * integral of (1 - p_dl * p_ul), integrated by a
-    16-node Gauss-Legendre rule in s with (r/R)^2 = s^4.  The trial's
+    16-node Gauss-Legendre rule in s with (r/R)^2 = s^4.  The nodes are
+    shared by every trial, so ``rayleigh_coverage`` takes the two-way
+    probability p_dl * p_ul at each of them jointly, with one ``log1p``
+    per jammer and node (``joint=True``).  The trial's
     value is P(S > U) = chndtr(2 Lambda_s, 2, 2 Lambda_u), which fails
     rounds with no follower and exact ties.
     """
@@ -270,8 +275,7 @@ def simulate_consensus(config: TrialConfig) -> ConsensusOutcome:
     for size, rng in _chunks(config.n_trials, config.master_seed):
         owner, d_jam = _jammers(p, size, rng)
         nodes = np.broadcast_to(node_r, (size, node_r.size))
-        covered = rayleigh_coverage(nodes, d_jam, owner, beta_gamma, p.alpha)
-        two_way = covered[..., 0] * covered[..., 1]
+        two_way = rayleigh_coverage(nodes, d_jam, owner, beta_gamma, p.alpha, joint=True)
         lam_s = lam_t * (two_way * disk_w).sum(axis=1)
         lam_u = lam_t * ((1.0 - two_way) * disk_w).sum(axis=1)
         consensus.add(chndtr(2.0 * lam_s, 2.0, 2.0 * lam_u)[None])

@@ -152,18 +152,84 @@ def test_rayleigh_coverage_rejects_owners_out_of_range():
 
 def test_rayleigh_coverage_holds_two_jammer_sized_arrays():
     # the jammer gains and one work buffer, reused for every receiver
-    # column and threshold: no temporary per column or per threshold
+    # column and threshold: no temporary per column or per threshold,
+    # for receivers shared by every row or not, one threshold at a time
+    # or all of them jointly
     rng = np.random.default_rng(5)
     d_jam = 300.0 * np.sqrt(rng.random(200_000))
     owner = rng.integers(0, 512, d_jam.size)
-    link = np.broadcast_to(np.linspace(30.0, 500.0, 16), (512, 16))
-    tracemalloc.start()
-    try:
-        rayleigh_coverage(link, d_jam, owner, (0.1, 1.0), 3.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5 * d_jam.nbytes
+    shared = np.broadcast_to(np.linspace(30.0, 500.0, 16), (512, 16))
+    per_row = 30.0 + 470.0 * rng.random((512, 16))
+    for link in (shared, per_row):
+        for joint in (False, True):
+            tracemalloc.start()
+            try:
+                rayleigh_coverage(link, d_jam, owner, (0.1, 1.0), 3.0, joint=joint)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5 * d_jam.nbytes
+
+
+def random_field(rng, rows, per_row):
+    """Jammers of a random field over ``rows`` rows: about ``per_row``
+    each, uniform on an annulus [5, 300] m, in no particular order."""
+    owner = rng.integers(0, rows, rng.poisson(per_row * rows))
+    return owner, np.sqrt(25.0 + rng.random(owner.size) * (300.0**2 - 25.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", range(4))
+def test_joint_coverage_is_the_product_of_the_marginals(seed):
+    # the probability that every link passes equals the product of the
+    # per-link probabilities, for receivers shared by every row (one
+    # distance per column) and for receivers that differ by row, at the
+    # downlink and uplink thresholds of beta = -20 and 0 dB, and for
+    # three links and for one
+    rng = np.random.default_rng(seed)
+    rows = 64
+    owner, d_jam = random_field(rng, rows, 2.0 + 4.0 * seed)
+    owner[owner == 3] = 4                   # row 3: no jammer
+    d_jam[np.flatnonzero(owner == 5)[:1]] = 0.0   # row 5: a jammer on the receiver
+    alpha = (2.05, 3.0, 3.7, 4.0)[seed]
+    shared = np.broadcast_to(np.geomspace(0.01, 500.0, 16), (rows, 16))
+    per_row = 500.0 * rng.random((rows, 3))
+    for link in (shared, per_row):
+        for thresholds in ((1e-4, 1e-3), (0.01, 0.1), (1e-3, 0.01, 0.1), (0.1,)):
+            marginals = rayleigh_coverage(link, d_jam, owner, thresholds, alpha)
+            joint = rayleigh_coverage(link, d_jam, owner, thresholds, alpha, joint=True)
+            assert joint.shape == link.shape
+            assert joint == pytest.approx(marginals.prod(axis=-1), rel=1e-13)
+            assert joint[3].tolist() == [1.0] * link.shape[1]
+            assert joint[5].tolist() == [0.0] * link.shape[1]
+    # no threshold: nothing can fail
+    assert rayleigh_coverage(shared, d_jam, owner, (), alpha, joint=True).tolist() == (
+        np.ones(shared.shape).tolist())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_joint_coverage_never_squares_the_path_gain():
+    # x = (r/d)^3 between 2.7e154 and 1.3e158, so x^2 overflows, while
+    # c_dl c_ul x^2 does not: the exact two-way coverage is a normal
+    # double, between about 1e-17 and 1e-9, and must not read as 0
+    link = np.broadcast_to(np.linspace(30.0, 500.0, 16), (2, 16))
+    owner = np.array([0, 1])
+    d_jam = np.array([1e-50, 200.0])
+    assert np.all((link[0] / d_jam[0]) ** 3 > 1e154)
+    thresholds = (1e-150, 3e-150)
+    marginals = rayleigh_coverage(link, d_jam, owner, thresholds, 3.0)
+    joint = rayleigh_coverage(link, d_jam, owner, thresholds, 3.0, joint=True)
+    assert np.all((joint[0] > 1e-18) & (joint[0] < 1e-8))
+    assert joint == pytest.approx(marginals.prod(axis=-1), rel=1e-13)
+    # with the jammer at 1e-60 m and physical thresholds, c_dl c_ul x^2
+    # overflows as well: the two-way coverage is then below the smallest
+    # normal double, and reads as exactly 0
+    d_jam[0] = 1e-60
+    marginals = rayleigh_coverage(link, d_jam, owner, (1e-4, 1e-3), 3.0)
+    joint = rayleigh_coverage(link, d_jam, owner, (1e-4, 1e-3), 3.0, joint=True)
+    assert joint[0].tolist() == [0.0] * 16
+    assert np.all(marginals[0].prod(axis=-1) < np.finfo(float).tiny)
+    assert joint[1] == pytest.approx(marginals[1].prod(axis=-1), rel=1e-13)
 
 
 def test_params_carry_regions():

@@ -570,9 +570,7 @@ def test_malformed_worker_count_is_a_config_error(tmp_path, capsys, monkeypatch)
 
 
 def test_shipped_configs_validate():
-    import glob
-
-    configs = sorted(glob.glob("configs/*.json"))
+    configs = sorted(CONFIGS.glob("*.json"))
     assert len(configs) == 9
     for path in configs:
-        assert cli.main(["--config", path, "--validate-only"]) == 0
+        assert cli.main(["--config", str(path), "--validate-only"]) == 0

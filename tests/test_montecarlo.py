@@ -277,6 +277,33 @@ def test_coverage_intervals_match_sample_covariance():
     assert res.ci_joint == pytest.approx(z * math.sqrt(joint), rel=1e-12)
 
 
+def test_consensus_matches_a_replay_through_the_marginals():
+    # the engine's draws, replayed chunk by chunk with a short last
+    # chunk; each node's two-way coverage is here the product of the
+    # downlink and uplink coverage, each taken on its own
+    p = params(rho_j=4.0 * NetworkParams().rho_j)
+    n_trials = 2 * CHUNK_SIZE + 321
+    lam_t = p.rho_t * p.disk.area
+    disk_r, disk_w = montecarlo._disk_rule()
+    values, lam_s = [], []
+    for size, rng in montecarlo._chunks(n_trials, 6):
+        owner, d_jam = montecarlo._jammers(p, size, rng)
+        nodes = np.broadcast_to(p.disk.radius * disk_r, (size, disk_r.size))
+        dl, ul = np.moveaxis(rayleigh_coverage(nodes, d_jam, owner,
+                                               (p.beta_dl * p.gamma_dl, p.beta_ul * p.gamma_ul),
+                                               p.alpha), -1, 0)
+        lam_s.append(lam_t * (dl * ul) @ disk_w)
+        values.append(chndtr(2.0 * lam_s[-1], 2.0, 2.0 * (lam_t - lam_s[-1])))
+    assert values[-1].size == 321
+    values, lam_s = np.concatenate(values), np.concatenate(lam_s)
+    res = simulate_consensus(TrialConfig(p, n_trials, 6))
+    assert 0.2 < res.p_consensus < 0.8
+    assert res.p_consensus == pytest.approx(values.mean(), rel=1e-12)
+    assert res.ci_halfwidth == pytest.approx(
+        norm.isf(0.025) * values.std(ddof=1) / math.sqrt(n_trials), rel=1e-12)
+    assert res.mean_successes == pytest.approx(lam_s.mean(), rel=1e-12)
+
+
 def test_import_does_not_load_scipy_stats():
     # scipy.stats costs about half a second to import
     code = "import sys, raftguard; print('scipy.stats' in sys.modules)"
