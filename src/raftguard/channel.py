@@ -112,61 +112,57 @@ def rayleigh_coverage(link, jammers, owner, beta_gamma, alpha: float,
     order.  A receiver with no jammer is covered with probability
     exactly 1 (interference-limited model, no noise), and one with a
     jammer at distance 0 with probability exactly 0.  Returns an array
-    of shape ``link.shape + beta_gamma.shape``.  A receiver column equal
-    in every row is read as one distance, with no per-jammer gather.
+    of shape ``link.shape + beta_gamma.shape``.
 
     With ``joint`` it returns instead the probability that the links of
     every threshold all pass (a two-way link, say), of shape
     ``link.shape``: prod_j 1 / prod_l (1 + c_l x_j) over the thresholds
-    c_l.  In a column read as one distance the product over thresholds
-    is one polynomial per jammer, 1 + x_j (c_1 + c_2 + c_1 c_2 x_j) for
-    two, taken by Horner's rule in the gain d_j^-alpha so that x_j^2 is
-    never formed, under one ``log1p``.
+    c_l.  The receivers must then be shared by every row, as a
+    broadcast view (``np.broadcast_to``), and each column is read as
+    one distance, with no per-jammer gather.  The product over
+    thresholds is one polynomial per jammer, 1 + x_j (c_1 + c_2 +
+    c_1 c_2 x_j) for two, taken by Horner's rule in the gain
+    d_j^-alpha so that x_j^2 is never formed, under one ``log1p``.
     """
     r = np.asarray(link, dtype=float)
     bg = np.asarray(beta_gamma, dtype=float)
     owner = np.asarray(owner, dtype=np.intp)
-    rows = r.shape[0]
-    cols = r.reshape(rows, -1)
+    with np.errstate(divide="ignore"):
+        gain = np.asarray(jammers, dtype=float) ** -alpha
+    cols = r.reshape(r.shape[0], -1)
+    if joint and (bg.size == 0 or (cols.shape[0] > 1 and cols.strides[0] != 0)):
+        raise ValueError("joint coverage needs a threshold and receivers "
+                         "broadcast over every row")
+    log_miss = np.empty(cols.shape + (1 if joint else bg.size,))
+    terms = np.empty_like(gain)
+    # the gains and one jammer-sized buffer, reused for every receiver
+    # column and threshold ("clip" keeps take from buffering; bincount
+    # rejects owners out of range)
     if joint:
         # coefficients of prod_l (1 + c_l x), constant term first
         poly = [1.0]
         for c in bg.flat:
             poly = [a + c * b for a, b in zip(poly + [0.0], [0.0] + poly)]
-    log_miss = np.zeros(cols.shape + (1,)) if joint else np.empty(cols.shape + (bg.size,))
-    # the gains and one jammer-sized buffer, reused for every receiver
-    # column and threshold ("clip" keeps take from buffering; bincount
-    # rejects owners out of range); a gain or product that overflows
-    # stands for a jammer at distance 0
-    with np.errstate(divide="ignore", over="ignore"):
-        gain = np.asarray(jammers, dtype=float) ** -alpha
-        terms = np.empty_like(gain)
-        for i in range(cols.shape[1]):
-            col = cols[:, i]
-            # first against last settles most unshared columns at once
-            shared = col.size > 0 and col[0] == col[-1] and col.min() == col.max()
-            near = (col[:1] if shared else col) ** alpha
-            if joint and shared and bg.size:
-                coef = [e * near[0] ** k for k, e in enumerate(poly[1:], 1)]
+        for i, near in enumerate(cols[0] ** alpha):
+            coef = [e * near ** k for k, e in enumerate(poly[1:], 1)]
+            # with the coefficients finite, a product that overflows
+            # means a top term c_1 c_2 x_j^2 past the largest double:
+            # coverage below the smallest normal double, read as 0
+            with np.errstate(over="ignore"):
                 np.multiply(gain, coef[-1], out=terms)
                 for c in coef[-2::-1]:
                     terms += c
                     terms *= gain
-                np.log1p(terms, out=terms)
-                log_miss[:, i, 0] = np.bincount(owner, weights=terms, minlength=rows)
-                continue
+            np.log1p(terms, out=terms)
+            log_miss[:, i, 0] = np.bincount(owner, weights=terms, minlength=cols.shape[0])
+    else:
+        for i in range(cols.shape[1]):
+            near = cols[:, i] ** alpha
             for b, c in enumerate(bg.flat):
-                if shared:
-                    np.multiply(gain, near[0], out=terms)
-                else:
-                    np.take(near, owner, out=terms, mode="clip")
-                    terms *= gain
+                np.take(near, owner, out=terms, mode="clip")
+                terms *= gain
                 terms *= c
                 np.log1p(terms, out=terms)
-                sums = np.bincount(owner, weights=terms, minlength=rows)
-                if joint:
-                    log_miss[:, i, 0] += sums
-                else:
-                    log_miss[:, i, b] = sums
+                log_miss[:, i, b] = np.bincount(owner, weights=terms, minlength=cols.shape[0])
     covered = np.exp(np.negative(log_miss, out=log_miss), out=log_miss)
     return covered.reshape(r.shape if joint else r.shape + bg.shape)

@@ -153,22 +153,21 @@ def test_rayleigh_coverage_rejects_owners_out_of_range():
 def test_rayleigh_coverage_holds_two_jammer_sized_arrays():
     # the jammer gains and one work buffer, reused for every receiver
     # column and threshold: no temporary per column or per threshold,
-    # for receivers shared by every row or not, one threshold at a time
-    # or all of them jointly
+    # one threshold at a time for receivers shared by every row or not,
+    # and all thresholds jointly for shared receivers
     rng = np.random.default_rng(5)
     d_jam = 300.0 * np.sqrt(rng.random(200_000))
     owner = rng.integers(0, 512, d_jam.size)
     shared = np.broadcast_to(np.linspace(30.0, 500.0, 16), (512, 16))
     per_row = 30.0 + 470.0 * rng.random((512, 16))
-    for link in (shared, per_row):
-        for joint in (False, True):
-            tracemalloc.start()
-            try:
-                rayleigh_coverage(link, d_jam, owner, (0.1, 1.0), 3.0, joint=joint)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 2.5 * d_jam.nbytes
+    for link, joint in ((shared, False), (per_row, False), (shared, True)):
+        tracemalloc.start()
+        try:
+            rayleigh_coverage(link, d_jam, owner, (0.1, 1.0), 3.0, joint=joint)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * d_jam.nbytes
 
 
 def random_field(rng, rows, per_row):
@@ -182,8 +181,7 @@ def random_field(rng, rows, per_row):
 @pytest.mark.parametrize("seed", range(4))
 def test_joint_coverage_is_the_product_of_the_marginals(seed):
     # the probability that every link passes equals the product of the
-    # per-link probabilities, for receivers shared by every row (one
-    # distance per column) and for receivers that differ by row, at the
+    # per-link probabilities, for receivers shared by every row, at the
     # downlink and uplink thresholds of beta = -20 and 0 dB, and for
     # three links and for one
     rng = np.random.default_rng(seed)
@@ -192,19 +190,26 @@ def test_joint_coverage_is_the_product_of_the_marginals(seed):
     owner[owner == 3] = 4                   # row 3: no jammer
     d_jam[np.flatnonzero(owner == 5)[:1]] = 0.0   # row 5: a jammer on the receiver
     alpha = (2.05, 3.0, 3.7, 4.0)[seed]
-    shared = np.broadcast_to(np.geomspace(0.01, 500.0, 16), (rows, 16))
-    per_row = 500.0 * rng.random((rows, 3))
-    for link in (shared, per_row):
-        for thresholds in ((1e-4, 1e-3), (0.01, 0.1), (1e-3, 0.01, 0.1), (0.1,)):
-            marginals = rayleigh_coverage(link, d_jam, owner, thresholds, alpha)
-            joint = rayleigh_coverage(link, d_jam, owner, thresholds, alpha, joint=True)
-            assert joint.shape == link.shape
-            assert joint == pytest.approx(marginals.prod(axis=-1), rel=1e-13)
-            assert joint[3].tolist() == [1.0] * link.shape[1]
-            assert joint[5].tolist() == [0.0] * link.shape[1]
-    # no threshold: nothing can fail
-    assert rayleigh_coverage(shared, d_jam, owner, (), alpha, joint=True).tolist() == (
-        np.ones(shared.shape).tolist())
+    link = np.broadcast_to(np.geomspace(0.01, 500.0, 16), (rows, 16))
+    for thresholds in ((1e-4, 1e-3), (0.01, 0.1), (1e-3, 0.01, 0.1), (0.1,)):
+        marginals = rayleigh_coverage(link, d_jam, owner, thresholds, alpha)
+        joint = rayleigh_coverage(link, d_jam, owner, thresholds, alpha, joint=True)
+        assert joint.shape == link.shape
+        assert joint == pytest.approx(marginals.prod(axis=-1), rel=1e-13)
+        assert joint[3].tolist() == [1.0] * 16
+        assert joint[5].tolist() == [0.0] * 16
+
+
+def test_joint_coverage_needs_shared_receivers_and_a_threshold():
+    shared = np.broadcast_to(np.linspace(30.0, 500.0, 4), (3, 4))
+    owner, d_jam = np.array([0, 2]), np.array([50.0, 80.0])
+    for link, thresholds in ((np.array(shared), (0.1, 1.0)), (shared, ())):
+        with pytest.raises(ValueError, match="joint coverage needs"):
+            rayleigh_coverage(link, d_jam, owner, thresholds, 3.0, joint=True)
+    # one row is shared by every row, whatever its layout
+    one = rayleigh_coverage(shared[:1].copy(), [50.0], [0], (0.1, 1.0), 3.0, joint=True)
+    assert one == pytest.approx(
+        rayleigh_coverage(shared[:1], [50.0], [0], (0.1, 1.0), 3.0).prod(axis=-1), rel=1e-13)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
