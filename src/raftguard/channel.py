@@ -130,9 +130,8 @@ def rayleigh_coverage(link, jammers, owner, beta_gamma, alpha: float,
     with np.errstate(divide="ignore"):
         gain = np.asarray(jammers, dtype=float) ** -alpha
     cols = r.reshape(r.shape[0], -1)
-    if joint and (bg.size == 0 or (cols.shape[0] > 1 and cols.strides[0] != 0)):
-        raise ValueError("joint coverage needs a threshold and receivers "
-                         "broadcast over every row")
+    if joint and cols.shape[0] > 1 and cols.strides[0] != 0:
+        raise ValueError("joint coverage needs receivers broadcast over every row")
     log_miss = np.empty(cols.shape + (1 if joint else bg.size,))
     terms = np.empty_like(gain)
     # the gains and one jammer-sized buffer, reused for every receiver

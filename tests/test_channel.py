@@ -200,12 +200,10 @@ def test_joint_coverage_is_the_product_of_the_marginals(seed):
         assert joint[5].tolist() == [0.0] * 16
 
 
-def test_joint_coverage_needs_shared_receivers_and_a_threshold():
+def test_joint_coverage_needs_shared_receivers():
     shared = np.broadcast_to(np.linspace(30.0, 500.0, 4), (3, 4))
-    owner, d_jam = np.array([0, 2]), np.array([50.0, 80.0])
-    for link, thresholds in ((np.array(shared), (0.1, 1.0)), (shared, ())):
-        with pytest.raises(ValueError, match="joint coverage needs"):
-            rayleigh_coverage(link, d_jam, owner, thresholds, 3.0, joint=True)
+    with pytest.raises(ValueError, match="broadcast over every row"):
+        rayleigh_coverage(np.array(shared), [50.0, 80.0], [0, 2], (0.1, 1.0), 3.0, joint=True)
     # one row is shared by every row, whatever its layout
     one = rayleigh_coverage(shared[:1].copy(), [50.0], [0], (0.1, 1.0), 3.0, joint=True)
     assert one == pytest.approx(
@@ -235,6 +233,13 @@ def test_joint_coverage_never_squares_the_path_gain():
     assert joint[0].tolist() == [0.0] * 16
     assert np.all(marginals[0].prod(axis=-1) < np.finfo(float).tiny)
     assert joint[1] == pytest.approx(marginals[1].prod(axis=-1), rel=1e-13)
+
+
+def test_marginal_coverage_warns_on_overflow():
+    # only the joint products may overflow quietly: a link distance
+    # whose r^alpha overflows is still reported on the per-link path
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        rayleigh_coverage([1e200], [20.0], [0], 1.0, 3.0)
 
 
 def test_params_carry_regions():
