@@ -19,6 +19,7 @@ __all__ = [
     "db_to_linear",
     "pathloss_db",
     "rayleigh_coverage",
+    "two_way_coverage",
 ]
 
 # Table of defaults: leader 30 dBm, follower 20 dBm, jammer 10 dBm,
@@ -93,75 +94,73 @@ class NetworkParams:
         return db_to_linear(self.p_jammer_dbm - self.p_follower_dbm)
 
 
-def rayleigh_coverage(link, jammers, owner, beta_gamma, alpha: float,
-                      joint: bool = False) -> np.ndarray:
+def rayleigh_coverage(link, jammers, owner, beta_gamma, alpha: float) -> np.ndarray:
     """Exact probability, given the geometry, that a receiver passes the
     SIR test ``signal > beta * sum of interference`` under Rayleigh
-    fading.
+    fading, at each of several thresholds.
 
-    ``link`` holds link distances r, one row per jammer realisation (a
-    row may hold several receivers that see the same jammers).
+    ``link`` holds one link distance r per jammer realisation (row).
     ``jammers`` holds jammer distances d_j in any order, and ``owner``
-    the row each of them belongs to.  ``beta_gamma`` is an SIR
-    threshold times the jammer-to-transmitter power ratio, or an array
-    of them, one per link type sharing the geometry (downlink and
-    uplink, say).  With independent unit-mean exponential fading power
-    on every link, and x_j = (r/d_j)^alpha, the probability is
-    prod_j 1 / (1 + beta_gamma x_j), evaluated as
-    exp(-sum_j log1p(beta_gamma x_j)) with each row's sum in ``jammers``
-    order.  A receiver with no jammer is covered with probability
-    exactly 1 (interference-limited model, no noise), and one with a
-    jammer at distance 0 with probability exactly 0.  Returns an array
-    of shape ``link.shape + beta_gamma.shape``.
-
-    With ``joint`` it returns instead the probability that the links of
-    every threshold all pass (a two-way link, say), of shape
-    ``link.shape``: prod_j 1 / prod_l (1 + c_l x_j) over the thresholds
-    c_l.  The receivers must then be shared by every row, as a
-    broadcast view (``np.broadcast_to``), and each column is read as
-    one distance, with no per-jammer gather.  The product over
-    thresholds is one polynomial per jammer, 1 + x_j (c_1 + c_2 +
-    c_1 c_2 x_j) for two, taken by Horner's rule in the gain
-    d_j^-alpha so that x_j^2 is never formed, under one ``log1p``.
+    the row each of them belongs to.  ``beta_gamma`` holds SIR
+    thresholds times the jammer-to-transmitter power ratio, one per
+    link type sharing the geometry (downlink and uplink, say).  With
+    independent unit-mean exponential fading power on every link, and
+    x_j = r^alpha d_j^-alpha, the probability is prod_j 1 / (1 + c x_j)
+    at threshold c, evaluated as exp(-sum_j log1p(x_j c)) with each
+    row's sum in ``jammers`` order.  A row with no jammer is covered with
+    probability exactly 1 (interference-limited model, no noise), and
+    one with a jammer at distance 0 with probability exactly 0.  Returns
+    an array of shape ``(len(beta_gamma), len(link))``.
     """
-    r = np.asarray(link, dtype=float)
-    bg = np.asarray(beta_gamma, dtype=float)
     owner = np.asarray(owner, dtype=np.intp)
-    with np.errstate(divide="ignore"):
-        gain = np.asarray(jammers, dtype=float) ** -alpha
-    cols = r.reshape(r.shape[0], -1)
-    if joint and cols.shape[0] > 1 and cols.strides[0] != 0:
-        raise ValueError("joint coverage needs receivers broadcast over every row")
-    log_miss = np.empty(cols.shape + (1 if joint else bg.size,))
+    gain = _gains(jammers, alpha)
+    log_miss = np.empty((len(beta_gamma), len(link)))
+    # x_j gathered once, then the gains' buffer holds x_j c for each
+    # threshold in turn; take leaves the owner check to bincount, which
+    # rejects a negative owner, and to the row-sized assignment, which
+    # rejects one past the last row
+    x = np.take(np.asarray(link, dtype=float) ** alpha, owner, mode="clip")
+    x *= gain
+    for b, c in enumerate(beta_gamma):
+        np.multiply(x, c, out=gain)
+        np.log1p(gain, out=gain)
+        log_miss[b] = np.bincount(owner, weights=gain, minlength=len(link))
+    return np.exp(np.negative(log_miss, out=log_miss), out=log_miss)
+
+
+def two_way_coverage(nodes, rows: int, jammers, owner, c_dl: float, c_ul: float,
+                     alpha: float) -> np.ndarray:
+    """Probability that both the downlink and the uplink of a receiver
+    pass, for receivers at ``nodes`` shared by each of ``rows`` jammer
+    realisations; ``jammers`` and ``owner`` are as for
+    ``rayleigh_coverage``, and ``c_dl`` and ``c_ul`` the two thresholds.
+
+    With fading independent per direction this is prod_j 1 / ((1 + c_dl
+    x_j)(1 + c_ul x_j)), x_j = r^alpha d_j^-alpha.  Each jammer's factor
+    is 1 + (c_dl + c_ul) r^alpha g + c_ul c_dl r^2alpha g^2 in its gain g
+    = d_j^-alpha, taken by Horner's rule in g so that x_j^2 is never
+    formed, under one ``log1p``.  Returns an array of shape ``(rows,
+    len(nodes))``.
+    """
+    owner = np.asarray(owner, dtype=np.intp)
+    gain = _gains(jammers, alpha)
+    log_miss = np.empty((rows, len(nodes)))
     terms = np.empty_like(gain)
-    # the gains and one jammer-sized buffer, reused for every receiver
-    # column and threshold ("clip" keeps take from buffering; bincount
-    # rejects owners out of range)
-    if joint:
-        # coefficients of prod_l (1 + c_l x), constant term first
-        poly = [1.0]
-        for c in bg.flat:
-            poly = [a + c * b for a, b in zip(poly + [0.0], [0.0] + poly)]
-        for i, near in enumerate(cols[0] ** alpha):
-            coef = [e * near ** k for k, e in enumerate(poly[1:], 1)]
-            # with the coefficients finite, a product that overflows
-            # means a top term c_1 c_2 x_j^2 past the largest double:
-            # coverage below the smallest normal double, read as 0
-            with np.errstate(over="ignore"):
-                np.multiply(gain, coef[-1], out=terms)
-                for c in coef[-2::-1]:
-                    terms += c
-                    terms *= gain
-            np.log1p(terms, out=terms)
-            log_miss[:, i, 0] = np.bincount(owner, weights=terms, minlength=cols.shape[0])
-    else:
-        for i in range(cols.shape[1]):
-            near = cols[:, i] ** alpha
-            for b, c in enumerate(bg.flat):
-                np.take(near, owner, out=terms, mode="clip")
-                terms *= gain
-                terms *= c
-                np.log1p(terms, out=terms)
-                log_miss[:, i, b] = np.bincount(owner, weights=terms, minlength=cols.shape[0])
-    covered = np.exp(np.negative(log_miss, out=log_miss), out=log_miss)
-    return covered.reshape(r.shape if joint else r.shape + bg.shape)
+    for i, near in enumerate(np.asarray(nodes, dtype=float) ** alpha):
+        lin, top = (c_dl + c_ul) * near, c_ul * c_dl * near ** 2
+        # with the coefficients finite, a product that overflows means a
+        # top term past the largest double: coverage below the smallest
+        # normal double, read as 0
+        with np.errstate(over="ignore"):
+            np.multiply(gain, top, out=terms)
+            terms += lin
+            terms *= gain
+        np.log1p(terms, out=terms)
+        log_miss[:, i] = np.bincount(owner, weights=terms, minlength=rows)
+    return np.exp(np.negative(log_miss, out=log_miss), out=log_miss)
+
+
+def _gains(jammers, alpha: float) -> np.ndarray:
+    """Jammer path gains d_j^-alpha, infinite for a jammer at distance 0."""
+    with np.errstate(divide="ignore"):
+        return np.asarray(jammers, dtype=float) ** -alpha

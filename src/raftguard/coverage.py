@@ -44,7 +44,7 @@ ORACLE_GRID_GAMMA = 0.01
 ORACLE_GRID_RHO_J = 15.0 / (math.pi * 500.0**2)
 ORACLE_GRID = tuple(
     (alpha, beta_db, AnnulusRegion(z1, z1 + 50.0), r)
-    for alpha in (2.5, 3.0, 4.0)
+    for alpha in (2.5, 3.0, 4.0, 5.0, 8.0)
     for beta_db in (-30.0, -20.0, -10.0, 0.0)
     for z1 in (10.0, 50.0, 150.0)
     for r in (10.0, 100.0, 400.0)

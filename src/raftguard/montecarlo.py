@@ -6,7 +6,8 @@ size and reduces chunk by chunk in chunk order, so results are
 bit-identical for a given (config, seed) no matter how the work is
 scheduled.  The coverage engines are Rao-Blackwellised: they draw only
 the geometry and average the exact Rayleigh-fading probability of
-success given it (``channel.rayleigh_coverage``); the authentication
+success given it (``channel.rayleigh_coverage`` per direction,
+``channel.two_way_coverage`` for both); the authentication
 engine tallies integer counts and reports their rates.
 
 Each trial's jammers form a PPP of mean count lambda_j = rho_j * |annulus|.
@@ -28,7 +29,7 @@ import numpy as np
 from scipy.special import chndtr
 
 from raftguard.auth import AuthProfile
-from raftguard.channel import NetworkParams, rayleigh_coverage
+from raftguard.channel import NetworkParams, rayleigh_coverage, two_way_coverage
 from raftguard.geometry import annulus_radii, link_distances
 from raftguard.specfun import gauss_legendre, q_inverse
 
@@ -117,8 +118,8 @@ class ConsensusOutcome:
     trial average of the expected count of two-way covered followers,
     from a 16-node disk rule whose nodes crowd toward the leader, so
     that coverage confined near the leader is still resolved.  Two-way
-    coverage at a node is the joint probability that both directions
-    pass, taken in one evaluation, not the product of two marginals.
+    coverage at a node is the probability that both directions pass,
+    from ``channel.two_way_coverage``.
     """
 
     p_consensus: float
@@ -231,7 +232,7 @@ def estimate_coverage(config: TrialConfig) -> CoverageEstimate:
     for size, rng in _chunks(config.n_trials, config.master_seed):
         owner, d_jam = _jammers(p, size, rng)
         r = link_distances(p.rho_t, size, rng)
-        both.add(np.ascontiguousarray(rayleigh_coverage(r, d_jam, owner, beta_gamma, p.alpha).T))
+        both.add(rayleigh_coverage(r, d_jam, owner, beta_gamma, p.alpha))
 
     p_dl, p_ul = (float(x) for x in both.mean)
     (var_dl, cov), (_, var_ul) = both.covariance
@@ -259,23 +260,21 @@ def simulate_consensus(config: TrialConfig) -> ConsensusOutcome:
     Lambda_s = rho_t * integral over the disk of p_dl * p_ul and
     Lambda_u = rho_t * integral of (1 - p_dl * p_ul), integrated by a
     16-node Gauss-Legendre rule in s with (r/R)^2 = s^4.  The nodes are
-    shared by every trial, so ``rayleigh_coverage`` takes the two-way
-    probability p_dl * p_ul at each of them jointly, with one ``log1p``
-    per jammer and node (``joint=True``).  The trial's
+    shared by every trial, and ``two_way_coverage`` takes p_dl * p_ul at
+    each of them with one ``log1p`` per jammer and node.  The trial's
     value is P(S > U) = chndtr(2 Lambda_s, 2, 2 Lambda_u), which fails
     rounds with no follower and exact ties.
     """
     p = config.params
     lam_t = p.rho_t * p.disk.area
-    beta_gamma = (p.beta_dl * p.gamma_dl, p.beta_ul * p.gamma_ul)
     disk_r, disk_w = _disk_rule()
     node_r = p.disk.radius * disk_r
     consensus = _TrialMean()
     successes = 0.0
     for size, rng in _chunks(config.n_trials, config.master_seed):
         owner, d_jam = _jammers(p, size, rng)
-        nodes = np.broadcast_to(node_r, (size, node_r.size))
-        two_way = rayleigh_coverage(nodes, d_jam, owner, beta_gamma, p.alpha, joint=True)
+        two_way = two_way_coverage(node_r, size, d_jam, owner, p.beta_dl * p.gamma_dl,
+                                   p.beta_ul * p.gamma_ul, p.alpha)
         lam_s = lam_t * (two_way * disk_w).sum(axis=1)
         lam_u = lam_t * ((1.0 - two_way) * disk_w).sum(axis=1)
         consensus.add(chndtr(2.0 * lam_s, 2.0, 2.0 * lam_u)[None])

@@ -88,7 +88,7 @@ def table_params(beta_db, rho_j_multiple=1.0):
 
 # --------------------------------------------------------------------
 # Gate 1: the hypergeometric closed form and the adaptive-quadrature
-# oracle are the same function on the published 108-point grid.
+# oracle are the same function on the published 180-point grid.
 # --------------------------------------------------------------------
 
 def test_gate_01_laplace_closed_form_matches_quadrature_oracle():
@@ -104,7 +104,7 @@ def test_gate_01_laplace_closed_form_matches_quadrature_oracle():
             method="quadrature",
         )
         worst = max(worst, abs(closed - quad))
-    assert len(ORACLE_GRID) == 108
+    assert len(ORACLE_GRID) == 180
     assert worst <= 1e-8, f"worst closed-vs-quadrature gap {worst:.3e}"
 
 

@@ -8,6 +8,7 @@ from raftguard.channel import (
     db_to_linear,
     pathloss_db,
     rayleigh_coverage,
+    two_way_coverage,
 )
 from raftguard.geometry import AnnulusRegion, DiskRegion
 
@@ -77,26 +78,26 @@ def test_sir_hand_value_downlink():
     # P(SIR > beta) = 1 / (1 + beta/800)
     p = hand_params()
     for beta in (0.01, 1.0, 800.0, 1e6):
-        got = rayleigh_coverage([10.0], [20.0], [0], beta * p.gamma_dl, p.alpha)
-        assert got[0] == pytest.approx(1.0 / (1.0 + beta / 800.0), rel=1e-14)
+        got = rayleigh_coverage([10.0], [20.0], [0], (beta * p.gamma_dl,), p.alpha)
+        assert got[0, 0] == pytest.approx(1.0 / (1.0 + beta / 800.0), rel=1e-14)
 
 
 def test_sir_hand_value_uplink():
     # follower transmits 100 mW: the uplink mean SIR is one tenth, 80
     p = hand_params()
     for beta in (0.01, 1.0, 80.0, 1e6):
-        got = rayleigh_coverage([10.0], [20.0], [0], beta * p.gamma_ul, p.alpha)
-        assert got[0] == pytest.approx(1.0 / (1.0 + beta / 80.0), rel=1e-14)
+        got = rayleigh_coverage([10.0], [20.0], [0], (beta * p.gamma_ul,), p.alpha)
+        assert got[0, 0] == pytest.approx(1.0 / (1.0 + beta / 80.0), rel=1e-14)
 
 
 def test_sir_no_jammers_is_infinite():
     # row 1 owns no jammer: its SIR is infinite and it is covered with
     # probability exactly 1 at any threshold, while row 0 is jammed out
     p = hand_params()
-    got = rayleigh_coverage([10.0, 400.0], [20.0], [0], 1e9 * p.gamma_dl, p.alpha)
+    got = rayleigh_coverage([10.0, 400.0], [20.0], [0], (1e9 * p.gamma_dl,), p.alpha)[0]
     assert got[0] < 1e-6
     assert got[1] == 1.0
-    assert rayleigh_coverage([10.0, 400.0], [], [], 1e9, p.alpha).tolist() == [1.0, 1.0]
+    assert rayleigh_coverage([10.0, 400.0], [], [], (1e9,), p.alpha).tolist() == [[1.0, 1.0]]
 
 
 def test_rayleigh_coverage_matches_fading_tally():
@@ -111,8 +112,8 @@ def test_rayleigh_coverage_matches_fading_tally():
     p_jammer = db_to_linear(p.p_jammer_dbm)
     for p_tx_dbm, beta, beta_gamma in ((p.p_leader_dbm, p.beta_dl, p.beta_dl * p.gamma_dl),
                                        (p.p_follower_dbm, p.beta_ul, p.beta_ul * p.gamma_ul)):
-        exact = rayleigh_coverage([r], d_jam, np.zeros(d_jam.size, int), beta_gamma,
-                                  p.alpha)[0]
+        exact = rayleigh_coverage([r], d_jam, np.zeros(d_jam.size, int), (beta_gamma,),
+                                  p.alpha)[0, 0]
         hits = 0
         for _ in range(n // chunk):
             signal = db_to_linear(p_tx_dbm) * rng.exponential(1.0, chunk) * r ** -p.alpha
@@ -125,49 +126,48 @@ def test_rayleigh_coverage_matches_fading_tally():
 
 
 def test_rayleigh_coverage_rows_share_their_jammers():
-    # each column of a row sees that row's jammers, which need not be
-    # grouped by row; a scalar threshold keeps the shape of the link
-    # array and a vector of thresholds adds a trailing axis
-    link = np.array([[10.0, 20.0], [30.0, 40.0], [50.0, 60.0]])
-    d_jam = np.array([25.0, 45.0, 35.0])
-    owner = np.array([0, 2, 0])
+    # each row sees its own jammers, which need not be grouped by row,
+    # at every threshold; row 1 owns none and row 3 one on the receiver
+    link = np.array([10.0, 30.0, 50.0, 70.0])
+    d_jam = np.array([25.0, 45.0, 0.0, 35.0])
+    owner = np.array([0, 2, 3, 0])
     both = rayleigh_coverage(link, d_jam, owner, (0.3, 2.0), 3.0)
-    assert both.shape == link.shape + (2,)
+    assert both.shape == (2, 4) and both.flags.c_contiguous
     for b, beta_gamma in enumerate((0.3, 2.0)):
         want = np.ones_like(link)
         for j, d in zip(owner, d_jam):
-            want[j] /= 1.0 + beta_gamma * (link[j] / d) ** 3.0
-        got = rayleigh_coverage(link, d_jam, owner, beta_gamma, 3.0)
-        assert got.shape == link.shape
-        assert got == pytest.approx(want, rel=1e-14)
-        assert both[..., b] == pytest.approx(want, rel=1e-14)
-        assert got[1].tolist() == [1.0, 1.0]
+            if d > 0.0:
+                want[j] /= 1.0 + beta_gamma * (link[j] / d) ** 3.0
+        assert both[b, :3] == pytest.approx(want[:3], rel=1e-14)
+        assert both[b, 1] == 1.0
+        assert both[b, 3] == 0.0
 
 
 def test_rayleigh_coverage_rejects_owners_out_of_range():
     for owner in ([1], [-1]):
         with pytest.raises(ValueError):
-            rayleigh_coverage([10.0], [20.0], owner, 1.0, 3.0)
+            rayleigh_coverage([10.0], [20.0], owner, (1.0,), 3.0)
+        with pytest.raises(ValueError):
+            two_way_coverage([10.0, 30.0], 1, [20.0], owner, 0.1, 1.0, 3.0)
 
 
 def test_rayleigh_coverage_holds_two_jammer_sized_arrays():
-    # the jammer gains and one work buffer, reused for every receiver
-    # column and threshold: no temporary per column or per threshold,
-    # one threshold at a time for receivers shared by every row or not,
-    # and all thresholds jointly for shared receivers
+    # the jammer gains and one work buffer, reused for every threshold
+    # and node: no temporary per threshold or per node
     rng = np.random.default_rng(5)
     d_jam = 300.0 * np.sqrt(rng.random(200_000))
     owner = rng.integers(0, 512, d_jam.size)
-    shared = np.broadcast_to(np.linspace(30.0, 500.0, 16), (512, 16))
-    per_row = 30.0 + 470.0 * rng.random((512, 16))
-    for link, joint in ((shared, False), (per_row, False), (shared, True)):
+    for kernel, args in ((rayleigh_coverage, (30.0 + 470.0 * rng.random(512), d_jam, owner,
+                                              (0.1, 1.0), 3.0)),
+                         (two_way_coverage, (np.linspace(30.0, 500.0, 16), 512, d_jam, owner,
+                                             0.1, 1.0, 3.0))):
         tracemalloc.start()
         try:
-            rayleigh_coverage(link, d_jam, owner, (0.1, 1.0), 3.0, joint=joint)
+            kernel(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * d_jam.nbytes
+        assert peak < 2.5 * d_jam.nbytes, kernel.__name__
 
 
 def random_field(rng, rows, per_row):
@@ -177,37 +177,63 @@ def random_field(rng, rows, per_row):
     return owner, np.sqrt(25.0 + rng.random(owner.size) * (300.0**2 - 25.0))
 
 
+def marginal_product(nodes, rows, d_jam, owner, c_dl, c_ul, alpha):
+    """Two-way coverage at shared nodes, from the per-row kernel's two
+    marginals at each node."""
+    return np.stack([rayleigh_coverage(np.full(rows, node), d_jam, owner, (c_dl, c_ul),
+                                       alpha).prod(axis=0) for node in nodes], axis=1)
+
+
+def test_rayleigh_coverage_bits():
+    # the shipped outputs depend on the multiplication order
+    # (r^alpha d^-alpha) c, so the kernel must match it to the last bit
+    rng = np.random.default_rng(0)
+    owner, d_jam = random_field(rng, 300, 6.0)
+    link = 500.0 * np.sqrt(rng.random(300))
+    for alpha in (3.0, 3.7):
+        want = np.exp(-np.stack([np.bincount(owner, np.log1p((link ** alpha)[owner]
+                                                             * d_jam ** -alpha * c), 300)
+                                 for c in (1e-4, 1e-3)]))
+        got = rayleigh_coverage(link, d_jam, owner, (1e-4, 1e-3), alpha)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_two_way_coverage_bits():
+    # the same for Horner's rule in the gain g, in its order
+    # (g (c_ul c_dl r^2alpha) + (c_dl + c_ul) r^alpha) g
+    rng = np.random.default_rng(1)
+    owner, d_jam = random_field(rng, 300, 6.0)
+    nodes = np.geomspace(0.01, 500.0, 16)
+    c_dl, c_ul = 1e-4, 1e-3
+    for alpha in (3.0, 3.7):
+        g = d_jam ** -alpha
+        want = np.exp(-np.stack([np.bincount(owner, np.log1p(
+            (g * (c_ul * c_dl * near ** 2) + (c_dl + c_ul) * near) * g), 300)
+            for near in nodes ** alpha], axis=1))
+        got = two_way_coverage(nodes, 300, d_jam, owner, c_dl, c_ul, alpha)
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("seed", range(4))
 def test_joint_coverage_is_the_product_of_the_marginals(seed):
-    # the probability that every link passes equals the product of the
-    # per-link probabilities, for receivers shared by every row, at the
-    # downlink and uplink thresholds of beta = -20 and 0 dB, and for
-    # three links and for one
+    # the probability that both links pass equals the product of the
+    # per-link probabilities, at the downlink and uplink thresholds of
+    # beta = -20 and 0 dB
     rng = np.random.default_rng(seed)
     rows = 64
     owner, d_jam = random_field(rng, rows, 2.0 + 4.0 * seed)
     owner[owner == 3] = 4                   # row 3: no jammer
     d_jam[np.flatnonzero(owner == 5)[:1]] = 0.0   # row 5: a jammer on the receiver
     alpha = (2.05, 3.0, 3.7, 4.0)[seed]
-    link = np.broadcast_to(np.geomspace(0.01, 500.0, 16), (rows, 16))
-    for thresholds in ((1e-4, 1e-3), (0.01, 0.1), (1e-3, 0.01, 0.1), (0.1,)):
-        marginals = rayleigh_coverage(link, d_jam, owner, thresholds, alpha)
-        joint = rayleigh_coverage(link, d_jam, owner, thresholds, alpha, joint=True)
-        assert joint.shape == link.shape
-        assert joint == pytest.approx(marginals.prod(axis=-1), rel=1e-13)
-        assert joint[3].tolist() == [1.0] * 16
-        assert joint[5].tolist() == [0.0] * 16
-
-
-def test_joint_coverage_needs_shared_receivers():
-    shared = np.broadcast_to(np.linspace(30.0, 500.0, 4), (3, 4))
-    with pytest.raises(ValueError, match="broadcast over every row"):
-        rayleigh_coverage(np.array(shared), [50.0, 80.0], [0, 2], (0.1, 1.0), 3.0, joint=True)
-    # one row is shared by every row, whatever its layout
-    one = rayleigh_coverage(shared[:1].copy(), [50.0], [0], (0.1, 1.0), 3.0, joint=True)
-    assert one == pytest.approx(
-        rayleigh_coverage(shared[:1], [50.0], [0], (0.1, 1.0), 3.0).prod(axis=-1), rel=1e-13)
+    nodes = np.geomspace(0.01, 500.0, 16)
+    for c_dl, c_ul in ((1e-4, 1e-3), (0.01, 0.1)):
+        two_way = two_way_coverage(nodes, rows, d_jam, owner, c_dl, c_ul, alpha)
+        assert two_way.shape == (rows, 16)
+        assert two_way == pytest.approx(
+            marginal_product(nodes, rows, d_jam, owner, c_dl, c_ul, alpha), rel=1e-13)
+        assert two_way[3].tolist() == [1.0] * 16
+        assert two_way[5].tolist() == [0.0] * 16
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -215,31 +241,30 @@ def test_joint_coverage_never_squares_the_path_gain():
     # x = (r/d)^3 between 2.7e154 and 1.3e158, so x^2 overflows, while
     # c_dl c_ul x^2 does not: the exact two-way coverage is a normal
     # double, between about 1e-17 and 1e-9, and must not read as 0
-    link = np.broadcast_to(np.linspace(30.0, 500.0, 16), (2, 16))
+    nodes = np.linspace(30.0, 500.0, 16)
     owner = np.array([0, 1])
     d_jam = np.array([1e-50, 200.0])
-    assert np.all((link[0] / d_jam[0]) ** 3 > 1e154)
-    thresholds = (1e-150, 3e-150)
-    marginals = rayleigh_coverage(link, d_jam, owner, thresholds, 3.0)
-    joint = rayleigh_coverage(link, d_jam, owner, thresholds, 3.0, joint=True)
-    assert np.all((joint[0] > 1e-18) & (joint[0] < 1e-8))
-    assert joint == pytest.approx(marginals.prod(axis=-1), rel=1e-13)
+    assert np.all((nodes / d_jam[0]) ** 3 > 1e154)
+    two_way = two_way_coverage(nodes, 2, d_jam, owner, 1e-150, 3e-150, 3.0)
+    assert np.all((two_way[0] > 1e-18) & (two_way[0] < 1e-8))
+    assert two_way == pytest.approx(
+        marginal_product(nodes, 2, d_jam, owner, 1e-150, 3e-150, 3.0), rel=1e-13)
     # with the jammer at 1e-60 m and physical thresholds, c_dl c_ul x^2
     # overflows as well: the two-way coverage is then below the smallest
     # normal double, and reads as exactly 0
     d_jam[0] = 1e-60
-    marginals = rayleigh_coverage(link, d_jam, owner, (1e-4, 1e-3), 3.0)
-    joint = rayleigh_coverage(link, d_jam, owner, (1e-4, 1e-3), 3.0, joint=True)
-    assert joint[0].tolist() == [0.0] * 16
-    assert np.all(marginals[0].prod(axis=-1) < np.finfo(float).tiny)
-    assert joint[1] == pytest.approx(marginals[1].prod(axis=-1), rel=1e-13)
+    two_way = two_way_coverage(nodes, 2, d_jam, owner, 1e-4, 1e-3, 3.0)
+    product = marginal_product(nodes, 2, d_jam, owner, 1e-4, 1e-3, 3.0)
+    assert two_way[0].tolist() == [0.0] * 16
+    assert np.all(product[0] < np.finfo(float).tiny)
+    assert two_way[1] == pytest.approx(product[1], rel=1e-13)
 
 
 def test_marginal_coverage_warns_on_overflow():
-    # only the joint products may overflow quietly: a link distance
-    # whose r^alpha overflows is still reported on the per-link path
+    # only the two-way products may overflow quietly: a link distance
+    # whose r^alpha overflows is still reported on the per-row path
     with pytest.warns(RuntimeWarning, match="overflow"):
-        rayleigh_coverage([1e200], [20.0], [0], 1.0, 3.0)
+        rayleigh_coverage([1e200], [20.0], [0], (1.0,), 3.0)
 
 
 def test_params_carry_regions():

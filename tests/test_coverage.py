@@ -35,7 +35,7 @@ def test_laplace_frozen_reference():
 
 
 def test_oracle_grid_shape():
-    assert len(ORACLE_GRID) == 108
+    assert len(ORACLE_GRID) == 180
 
 
 def test_closed_form_matches_quadrature_on_grid():
@@ -120,7 +120,7 @@ def test_quadrature_oracle_near_alpha_two():
     assert worst <= 1e-8
 
 
-# alpha -> 2 edge, which ORACLE_GRID (alpha >= 2.5) does not reach:
+# alpha -> 2 edge, which ORACLE_GRID (alpha from 2.5 to 8) does not reach:
 # (alpha, beta_db, gamma, annulus, r, L) with L the Laplace transform
 # at jammer intensity RHO_J from 40-digit quadrature of the defining
 # radial integral (mpmath).

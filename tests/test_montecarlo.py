@@ -263,9 +263,9 @@ def test_coverage_intervals_match_sample_covariance():
         values.append(rayleigh_coverage(r, d_jam, owner,
                                         (p.beta_dl * p.gamma_dl, p.beta_ul * p.gamma_ul),
                                         p.alpha))
-    values = np.concatenate(values)
-    cov = np.cov(values, rowvar=False) / n_trials
-    p_dl, p_ul = values.mean(axis=0)
+    values = np.concatenate(values, axis=1)
+    cov = np.cov(values) / n_trials
+    p_dl, p_ul = values.mean(axis=1)
     res = estimate_coverage(TrialConfig(p, n_trials, 8))
     z = norm.isf(0.025)
     assert cov[0, 1] > 0.0
@@ -288,10 +288,9 @@ def test_consensus_matches_a_replay_through_the_marginals():
     values, lam_s = [], []
     for size, rng in montecarlo._chunks(n_trials, 6):
         owner, d_jam = montecarlo._jammers(p, size, rng)
-        nodes = np.broadcast_to(p.disk.radius * disk_r, (size, disk_r.size))
-        dl, ul = np.moveaxis(rayleigh_coverage(nodes, d_jam, owner,
-                                               (p.beta_dl * p.gamma_dl, p.beta_ul * p.gamma_ul),
-                                               p.alpha), -1, 0)
+        dl, ul = np.stack([rayleigh_coverage(np.full(size, node), d_jam, owner,
+                                             (p.beta_dl * p.gamma_dl, p.beta_ul * p.gamma_ul),
+                                             p.alpha) for node in p.disk.radius * disk_r], axis=-1)
         lam_s.append(lam_t * (dl * ul) @ disk_w)
         values.append(chndtr(2.0 * lam_s[-1], 2.0, 2.0 * (lam_t - lam_s[-1])))
     assert values[-1].size == 321
