@@ -3,8 +3,8 @@
 Every estimator draws through numpy Generators seeded from
 ``SeedSequence(master_seed, spawn_key=(chunk,))`` with a fixed chunk
 size and reduces chunk by chunk in chunk order, so results are
-bit-identical for a given (config, seed) no matter how the work is
-scheduled.  The coverage engines are Rao-Blackwellised: they draw only
+bit-identical for a given (config, seed) on any number of threads or
+processes.  The coverage engines are Rao-Blackwellised: they draw only
 the geometry and average the exact Rayleigh-fading probability of
 success given it (``channel.rayleigh_coverage`` per direction,
 ``channel.two_way_coverage`` for both); the authentication
@@ -21,8 +21,11 @@ Wireless Networks, 2012).
 
 from __future__ import annotations
 
+import contextvars
 import math
 import operator
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +147,27 @@ def _chunks(n_trials: int, master_seed: int):
         yield min(CHUNK_SIZE, n_trials - start), rng
 
 
+def _threads() -> int:
+    """The number of CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _chunk_results(work, n_trials: int, master_seed: int):
+    """Yield ``work(size, rng)`` per chunk, in order, from threads running
+    in copies of the caller's context, at most 2 * threads chunks ahead."""
+    threads = min(_threads(), -(-n_trials // CHUNK_SIZE))
+    pool, pending = ThreadPoolExecutor(threads), []
+    try:
+        for size, rng in _chunks(n_trials, master_seed):
+            pending.append(pool.submit(contextvars.copy_context().run, work, size, rng))
+            if len(pending) == 2 * threads:
+                yield pending.pop(0).result()
+        yield from (future.result() for future in pending)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _jammers(p: NetworkParams, size: int, rng: np.random.Generator):
     """One chunk's jammer field: the trial owning each jammer and the
     jammer's distance from the leader, drawn as one PPP of mean count
@@ -259,34 +283,35 @@ def simulate_consensus(config: TrialConfig) -> ConsensusOutcome:
     followers are independent Poisson counts S and U with means
     Lambda_s = rho_t * integral over the disk of p_dl * p_ul and
     Lambda_u = rho_t * integral of (1 - p_dl * p_ul), integrated by a
-    16-node Gauss-Legendre rule in s with (r/R)^2 = s^4.  The nodes are
-    shared by every trial, and ``two_way_coverage`` takes p_dl * p_ul at
-    each of them with one ``log1p`` per jammer and node.  The trial's
-    value is P(S > U) = chndtr(2 Lambda_s, 2, 2 Lambda_u), which fails
-    rounds with no follower and exact ties.
+    16-node Gauss-Legendre rule in s with (r/R)^2 = s^4; at each node
+    ``two_way_coverage`` takes p_dl * p_ul with one ``log1p`` per jammer.
+    A trial's value is P(S > U) = chndtr(2 Lambda_s, 2, 2 Lambda_u),
+    which fails rounds with no follower and ties.  Chunks run on a thread
+    per usable CPU; the bytes do not depend on the thread count.
     """
     p = config.params
     lam_t = p.rho_t * p.disk.area
     disk_r, disk_w = _disk_rule()
     node_r = p.disk.radius * disk_r
-    consensus = _TrialMean()
-    successes = 0.0
-    for size, rng in _chunks(config.n_trials, config.master_seed):
+
+    def chunk(size, rng):
         owner, d_jam = _jammers(p, size, rng)
         two_way = two_way_coverage(node_r, size, d_jam, owner, p.beta_dl * p.gamma_dl,
                                    p.beta_ul * p.gamma_ul, p.alpha)
         lam_s = lam_t * (two_way * disk_w).sum(axis=1)
         lam_u = lam_t * ((1.0 - two_way) * disk_w).sum(axis=1)
-        consensus.add(chndtr(2.0 * lam_s, 2.0, 2.0 * lam_u)[None])
-        successes += float(lam_s.sum())
+        return chndtr(2.0 * lam_s, 2.0, 2.0 * lam_u), float(lam_s.sum())
 
-    n = config.n_trials
+    consensus, successes = _TrialMean(), 0.0
+    for value, lam_s in _chunk_results(chunk, config.n_trials, config.master_seed):
+        consensus.add(value[None])
+        successes += lam_s
     return ConsensusOutcome(
         p_consensus=float(consensus.mean[0]),
         ci_halfwidth=_Z95 * math.sqrt(consensus.covariance[0, 0]),
-        n_trials=n,
+        n_trials=config.n_trials,
         mean_followers=lam_t,
-        mean_successes=successes / n,
+        mean_successes=successes / config.n_trials,
     )
 
 

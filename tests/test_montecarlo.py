@@ -1,7 +1,10 @@
+import itertools
 import math
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -81,6 +84,83 @@ def test_chunks_are_not_listed_up_front():
     # a trial count past sys.maxsize chunks still yields its first chunk
     size, _ = next(montecarlo._chunks(10**30, 0))
     assert size == CHUNK_SIZE
+
+
+# ------------------------------------------------- consensus thread pool
+
+
+@pytest.mark.parametrize("n_trials", [3 * CHUNK_SIZE + 17, 100],
+                         ids=["chunks-past-threads", "one-chunk"])
+def test_consensus_records_do_not_depend_on_the_thread_count(monkeypatch, n_trials):
+    cfg = TrialConfig(params(rho_j=4.0 * NetworkParams().rho_j), n_trials, 3)
+    records = []
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(montecarlo, "_threads", lambda: threads)
+        records.append(simulate_consensus(cfg))
+    one, two, three = records
+    for field in ("p_consensus", "ci_halfwidth", "mean_followers", "mean_successes"):
+        assert getattr(one, field) == getattr(two, field) == getattr(three, field), field
+
+
+def test_consensus_draws_at_most_two_chunks_per_thread_ahead(monkeypatch):
+    threads, n_chunks = 2, 10
+    drawn, consumed, ahead = [0], [0], []
+    chunks, add = montecarlo._chunks, montecarlo._TrialMean.add
+
+    def counting(n_trials, master_seed):
+        for chunk in chunks(n_trials, master_seed):
+            drawn[0] += 1
+            yield chunk
+
+    def consuming(self, values):
+        ahead.append(drawn[0] - consumed[0])
+        consumed[0] += 1
+        add(self, values)
+
+    monkeypatch.setattr(montecarlo, "_threads", lambda: threads)
+    monkeypatch.setattr(montecarlo, "_chunks", counting)
+    monkeypatch.setattr(montecarlo._TrialMean, "add", consuming)
+    simulate_consensus(TrialConfig(params(), n_chunks * CHUNK_SIZE, 4))
+    assert drawn[0] == consumed[0] == n_chunks
+    # the look-ahead is used, and never exceeded
+    assert max(ahead) == 2 * threads
+
+
+def test_a_failing_chunk_raises_in_the_caller_and_leaves_no_thread(monkeypatch):
+    # the suite turns RuntimeWarning into an exception, here raised on a
+    # pool thread by the third chunk
+    threads, n_chunks = 3, 20
+    calls = itertools.count(1)
+    two_way = montecarlo.two_way_coverage
+
+    def warning_on_third_call(*args):
+        if next(calls) == 3:
+            warnings.warn("third chunk", RuntimeWarning)
+        return two_way(*args)
+
+    monkeypatch.setattr(montecarlo, "_threads", lambda: threads)
+    monkeypatch.setattr(montecarlo, "two_way_coverage", warning_on_third_call)
+    before = threading.active_count()
+    with pytest.raises(RuntimeWarning, match="third chunk"):
+        simulate_consensus(TrialConfig(params(), n_chunks * CHUNK_SIZE, 5))
+    assert threading.active_count() == before
+    # the failing chunk is one of the first three, and no chunk is drawn
+    # more than 2 * threads ahead of it
+    assert next(calls) - 1 <= 2 + 2 * threads
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="numpy's error state is a context variable from numpy 2.0")
+def test_consensus_chunks_run_in_the_callers_numpy_error_state(monkeypatch):
+    two_way = montecarlo.two_way_coverage
+
+    def underflowing(*args):
+        np.exp(np.array([-1000.0]))
+        return two_way(*args)
+
+    monkeypatch.setattr(montecarlo, "two_way_coverage", underflowing)
+    with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+        simulate_consensus(TrialConfig(params(), 100, 1))
 
 
 # ------------------------------------------------------ frozen regressions
