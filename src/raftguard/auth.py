@@ -71,6 +71,8 @@ class AuthProfile:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         if not (self.psi_min < self.psi_max):
             raise ValueError("psi_min must be below psi_max")
+        if not math.isfinite(self.psi_max - self.psi_min):
+            raise ValueError(f"prior support [{self.psi_min}, {self.psi_max}] has no finite width")
 
     @property
     def m(self) -> int:

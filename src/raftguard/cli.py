@@ -36,7 +36,7 @@ from raftguard.auth import (
 from raftguard.channel import NetworkParams, pathloss_db
 from raftguard.coverage import coverage_joint
 from raftguard.geometry import AnnulusRegion, DiskRegion
-from raftguard.montecarlo import TrialConfig, estimate_coverage, simulate_auth
+from raftguard.montecarlo import TrialConfig, _workers, estimate_coverage, simulate_auth
 
 __all__ = [
     "ExperimentConfig", "SweepSpec", "AuthSettings", "ConfigError", "PointFailure", "main",
@@ -486,24 +486,13 @@ def _evaluate_point(config: ExperimentConfig, index: int, value: float) -> dict:
         raise PointFailure(index, value, f"{type(exc).__name__}: {exc}") from exc
 
 
-def _worker_count(n_points: int) -> int:
-    """Pool size: ``RAFTGUARD_WORKERS`` if set, else 4, never more than
-    the sweep points or the CPUs."""
-    cap = max(1, min(os.cpu_count() or 1, n_points))
-    env = os.environ.get("RAFTGUARD_WORKERS")
-    if not env:
-        return min(4, cap)
-    try:
-        requested = int(env)
-    except ValueError:
-        raise ConfigError([f"RAFTGUARD_WORKERS: expected an integer, got {env!r}"]) from None
-    return max(1, min(requested, cap))
-
-
 def evaluate(config: ExperimentConfig) -> list[dict]:
     """All sweep rows, in sweep order regardless of worker scheduling."""
     values = config.sweep.values()
-    workers = _worker_count(len(values))
+    try:
+        workers = _workers(len(values))
+    except ValueError as exc:
+        raise ConfigError([str(exc)]) from None
     args = ([config] * len(values), range(len(values)), values)
     if workers == 1:
         return list(map(_evaluate_point, *args))

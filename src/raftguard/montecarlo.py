@@ -153,10 +153,21 @@ def _threads() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
+def _workers(units: int) -> int:
+    """The package's one pool size for ``units`` units of work: ``RAFTGUARD_WORKERS``
+    if set, else 4, at most the usable CPUs and the units, at least 1."""
+    env = os.environ.get("RAFTGUARD_WORKERS")
+    try:
+        requested = int(env) if env else 4
+    except ValueError:
+        raise ValueError(f"RAFTGUARD_WORKERS: expected an integer, got {env!r}") from None
+    return max(1, min(requested, _threads(), units))
+
+
 def _chunk_results(work, n_trials: int, master_seed: int):
-    """Yield ``work(size, rng)`` per chunk, in order, from threads running
+    """Yield ``work(size, rng)`` per chunk, in order, from ``_workers`` threads
     in copies of the caller's context, at most 2 * threads chunks ahead."""
-    threads = min(_threads(), -(-n_trials // CHUNK_SIZE))
+    threads = _workers(-(-n_trials // CHUNK_SIZE))
     pool, pending = ThreadPoolExecutor(threads), []
     try:
         for size, rng in _chunks(n_trials, master_seed):
@@ -286,8 +297,8 @@ def simulate_consensus(config: TrialConfig) -> ConsensusOutcome:
     16-node Gauss-Legendre rule in s with (r/R)^2 = s^4; at each node
     ``two_way_coverage`` takes p_dl * p_ul with one ``log1p`` per jammer.
     A trial's value is P(S > U) = chndtr(2 Lambda_s, 2, 2 Lambda_u),
-    which fails rounds with no follower and ties.  Chunks run on a thread
-    per usable CPU; the bytes do not depend on the thread count.
+    which fails rounds with no follower and ties.  Chunks run on
+    ``_workers`` threads; the bytes do not depend on the thread count.
     """
     p = config.params
     lam_t = p.rho_t * p.disk.area

@@ -164,6 +164,12 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         AuthProfile(ground_truth=np.array([1.0]), sigma=1.0, epsilon=1.0,
                     psi_min=10.0, psi_max=10.0)
+    # an infinite bound, or a width that overflows, would fail only when
+    # sampled from or integrated over
+    for psi_min, psi_max in ((0.0, math.inf), (-math.inf, 10.0), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="finite width"):
+            AuthProfile(ground_truth=np.array([1.0]), sigma=1.0, epsilon=1.0,
+                        psi_min=psi_min, psi_max=psi_max)
 
 
 def test_profile_fingerprints_are_a_read_only_copy():

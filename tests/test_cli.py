@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from raftguard import cli
+from raftguard import cli, montecarlo
 
 RHO = 1.9098593171027442e-05
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -548,24 +548,37 @@ def test_programming_error_is_not_a_numeric_failure(tmp_path, capsys, monkeypatc
 
 
 def test_worker_count_is_clamped(monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    # the CLI sizes its pool by montecarlo's rule, whose CPU count is _threads
+    monkeypatch.setattr(montecarlo, "_threads", lambda: 8)
     monkeypatch.setenv("RAFTGUARD_WORKERS", "100000")
-    assert cli._worker_count(16) == 8
-    assert cli._worker_count(3) == 3
+    assert cli._workers(16) == 8
+    assert cli._workers(3) == 3
     monkeypatch.setenv("RAFTGUARD_WORKERS", "0")
-    assert cli._worker_count(16) == 1
+    assert cli._workers(16) == 1
     monkeypatch.delenv("RAFTGUARD_WORKERS")
-    assert cli._worker_count(16) == 4
+    assert cli._workers(16) == 4
+
+
+def test_pool_is_one_process_on_one_usable_cpu(tmp_path, monkeypatch):
+    # pinned to one CPU with the variable unset, the points run in process
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(montecarlo, "_threads", lambda: 1)
+    monkeypatch.delenv("RAFTGUARD_WORKERS")
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    config = cli.build_config(base_config(tmp_path, n_trials=200), "")
+    assert len(cli.evaluate(config)) == 4
 
 
 def test_malformed_worker_count_is_a_config_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RAFTGUARD_WORKERS", "abc")
-    with pytest.raises(cli.ConfigError):
-        cli._worker_count(4)
+    with pytest.raises(cli.ConfigError, match="RAFTGUARD_WORKERS: expected an integer, got 'abc'"):
+        cli.evaluate(cli.build_config(base_config(tmp_path), ""))
     path = write_config(tmp_path, base_config(tmp_path))
     assert cli.main(["--config", path]) == 2
     err = capsys.readouterr().err
-    assert "config error: RAFTGUARD_WORKERS" in err
+    assert err == "config error: RAFTGUARD_WORKERS: expected an integer, got 'abc'\n"
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -89,6 +89,13 @@ def test_chunks_are_not_listed_up_front():
 # ------------------------------------------------- consensus thread pool
 
 
+@pytest.fixture(autouse=True)
+def default_workers(monkeypatch):
+    # the thread-pool tests below assume the default rule unless they set
+    # RAFTGUARD_WORKERS themselves
+    monkeypatch.delenv("RAFTGUARD_WORKERS", raising=False)
+
+
 @pytest.mark.parametrize("n_trials", [3 * CHUNK_SIZE + 17, 100],
                          ids=["chunks-past-threads", "one-chunk"])
 def test_consensus_records_do_not_depend_on_the_thread_count(monkeypatch, n_trials):
@@ -102,8 +109,9 @@ def test_consensus_records_do_not_depend_on_the_thread_count(monkeypatch, n_tria
         assert getattr(one, field) == getattr(two, field) == getattr(three, field), field
 
 
-def test_consensus_draws_at_most_two_chunks_per_thread_ahead(monkeypatch):
-    threads, n_chunks = 2, 10
+def look_ahead(monkeypatch, config):
+    """The record of ``simulate_consensus(config)`` and the largest number
+    of chunks drawn but not yet reduced."""
     drawn, consumed, ahead = [0], [0], []
     chunks, add = montecarlo._chunks, montecarlo._TrialMean.add
 
@@ -117,13 +125,40 @@ def test_consensus_draws_at_most_two_chunks_per_thread_ahead(monkeypatch):
         consumed[0] += 1
         add(self, values)
 
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_chunks", counting)
+        patch.setattr(montecarlo._TrialMean, "add", consuming)
+        record = simulate_consensus(config)
+    assert drawn[0] == consumed[0] == -(-config.n_trials // CHUNK_SIZE)
+    return record, max(ahead)
+
+
+def test_consensus_draws_at_most_two_chunks_per_thread_ahead(monkeypatch):
+    threads, n_chunks = 2, 10
     monkeypatch.setattr(montecarlo, "_threads", lambda: threads)
-    monkeypatch.setattr(montecarlo, "_chunks", counting)
-    monkeypatch.setattr(montecarlo._TrialMean, "add", consuming)
-    simulate_consensus(TrialConfig(params(), n_chunks * CHUNK_SIZE, 4))
-    assert drawn[0] == consumed[0] == n_chunks
+    _, ahead = look_ahead(monkeypatch, TrialConfig(params(), n_chunks * CHUNK_SIZE, 4))
     # the look-ahead is used, and never exceeded
-    assert max(ahead) == 2 * threads
+    assert ahead == 2 * threads
+
+
+def test_consensus_threads_follow_the_worker_variable(monkeypatch):
+    # RAFTGUARD_WORKERS=1 caps the pool at one thread on three usable CPUs,
+    # with the same record bits as three threads
+    cfg = TrialConfig(params(), 10 * CHUNK_SIZE, 4)
+    monkeypatch.setattr(montecarlo, "_threads", lambda: 3)
+    three, ahead = look_ahead(monkeypatch, cfg)
+    assert ahead == 6
+    monkeypatch.setenv("RAFTGUARD_WORKERS", "1")
+    one, ahead = look_ahead(monkeypatch, cfg)
+    assert ahead == 2
+    assert [float.hex(x) for x in (one.p_consensus, one.ci_halfwidth, one.mean_successes)] == [
+        float.hex(x) for x in (three.p_consensus, three.ci_halfwidth, three.mean_successes)]
+
+
+def test_malformed_worker_variable_stops_the_consensus_engine(monkeypatch):
+    monkeypatch.setenv("RAFTGUARD_WORKERS", "two")
+    with pytest.raises(ValueError, match="RAFTGUARD_WORKERS: expected an integer, got 'two'"):
+        simulate_consensus(TrialConfig(params(), 100, 1))
 
 
 def test_a_failing_chunk_raises_in_the_caller_and_leaves_no_thread(monkeypatch):
@@ -149,8 +184,6 @@ def test_a_failing_chunk_raises_in_the_caller_and_leaves_no_thread(monkeypatch):
     assert next(calls) - 1 <= 2 + 2 * threads
 
 
-@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
-                    reason="numpy's error state is a context variable from numpy 2.0")
 def test_consensus_chunks_run_in_the_callers_numpy_error_state(monkeypatch):
     two_way = montecarlo.two_way_coverage
 

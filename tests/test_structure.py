@@ -1,6 +1,6 @@
 """Structural guards: the simulated route stays independent of the
-closed forms, only the CLI's scenario table names a scenario, and every
-exported name exists."""
+closed forms, only the CLI's scenario table names a scenario, one rule
+sizes every worker pool, and every exported name exists."""
 
 import ast
 import importlib
@@ -74,3 +74,33 @@ def submodules():
 def test_every_export_resolves(module):
     stale = [name for name in module.__all__ if not hasattr(module, name)]
     assert not stale
+
+
+def test_one_rule_sizes_every_pool():
+    # in code, not docs: the worker variable is read only by
+    # montecarlo._workers, and the CPU count only by the probe _threads,
+    # which only _workers calls
+    found = set()
+    for module in [raftguard] + submodules():
+        with open(module.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+        docs = {id(scope.body[0].value) for scope in scopes if ast.get_docstring(scope) is not None}
+        functions = [n for n in scopes if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
+                names = [n for n in ("RAFTGUARD_WORKERS", "sched_getaffinity") if n in node.value]
+            elif isinstance(node, (ast.Attribute, ast.Name, ast.alias)):
+                name = getattr(node, "attr", None) or getattr(node, "id", None) or node.name
+                names = [name] if name in ("cpu_count", "sched_getaffinity", "_threads") else []
+            else:
+                continue
+            owner = min((f for f in functions if f.lineno <= node.lineno <= f.end_lineno),
+                        key=lambda f: f.end_lineno - f.lineno, default=None)
+            found |= {(module.__name__, getattr(owner, "name", None), name) for name in names}
+    assert found == {
+        ("raftguard.montecarlo", "_workers", "RAFTGUARD_WORKERS"),
+        ("raftguard.montecarlo", "_workers", "_threads"),
+        ("raftguard.montecarlo", "_threads", "sched_getaffinity"),
+        ("raftguard.montecarlo", "_threads", "cpu_count"),
+    }
