@@ -117,10 +117,15 @@ class AuthProfile:
         tie = np.minimum(i_lo, i_hi)
         return np.where(d_lo < d_hi, i_lo, np.where(d_hi < d_lo, i_hi, tie))[()]
 
+    def deviation(self, z, index):
+        """Distance ``|z - Psi[index]|`` of each measurement from
+        fingerprint ``index``, the statistic of the threshold test."""
+        return np.abs(np.asarray(z, dtype=float) - self.ground_truth[index])
+
     def accepts(self, z, index):
         """Threshold test against fingerprint ``index``: accept (H0) iff
-        ``|z - Psi[index]| < epsilon``; the boundary itself rejects."""
-        return np.abs(np.asarray(z, dtype=float) - self.ground_truth[index]) < self.epsilon
+        the deviation is below ``epsilon``; the boundary itself rejects."""
+        return self.deviation(z, index) < self.epsilon
 
 
 def sample_fingerprints(

@@ -19,6 +19,7 @@ __all__ = [
     "db_to_linear",
     "pathloss_db",
     "rayleigh_coverage",
+    "rayleigh_coverage_blocks",
     "two_way_coverage",
 ]
 
@@ -112,20 +113,35 @@ def rayleigh_coverage(link, jammers, owner, beta_gamma, alpha: float) -> np.ndar
     one with a jammer at distance 0 with probability exactly 0.  Returns
     an array of shape ``(len(beta_gamma), len(link))``.
     """
+    return next(rayleigh_coverage_blocks(link, jammers, owner, (beta_gamma,), alpha))
+
+
+def rayleigh_coverage_blocks(link, jammers, owner, blocks, alpha: float):
+    """``rayleigh_coverage`` at each block of thresholds in ``blocks`` in
+    turn, from one gather of x_j: yields one array of shape ``(len(block),
+    len(link))`` per block, each row bitwise the one ``rayleigh_coverage``
+    gives at that threshold.  Only one block's rows are held at a time,
+    and the jammer-sized buffers go when the generator is exhausted or
+    dropped.  The generator lets go of ``link`` and ``jammers`` once x_j
+    is gathered, so arrays the caller no longer holds are freed then.
+    """
     owner = np.asarray(owner, dtype=np.intp)
     gain = _gains(jammers, alpha)
-    log_miss = np.empty((len(beta_gamma), len(link)))
     # x_j gathered once, then the gains' buffer holds x_j c for each
     # threshold in turn; take leaves the owner check to bincount, which
     # rejects a negative owner, and to the row-sized assignment, which
     # rejects one past the last row
     x = np.take(np.asarray(link, dtype=float) ** alpha, owner, mode="clip")
     x *= gain
-    for b, c in enumerate(beta_gamma):
-        np.multiply(x, c, out=gain)
-        np.log1p(gain, out=gain)
-        log_miss[b] = np.bincount(owner, weights=gain, minlength=len(link))
-    return np.exp(np.negative(log_miss, out=log_miss), out=log_miss)
+    rows = len(link)
+    del link, jammers
+    for beta_gamma in blocks:
+        log_miss = np.empty((len(beta_gamma), rows))
+        for b, c in enumerate(beta_gamma):
+            np.multiply(x, c, out=gain)
+            np.log1p(gain, out=gain)
+            log_miss[b] = np.bincount(owner, weights=gain, minlength=rows)
+        yield np.exp(np.negative(log_miss, out=log_miss), out=log_miss)
 
 
 def two_way_coverage(nodes, rows: int, jammers, owner, c_dl: float, c_ul: float,

@@ -2,10 +2,11 @@
 columns side by side.
 
 Every scenario sweeps one variable, evaluates each point analytically
-and by simulation, and writes one row per point in sweep order.  Points
-are evaluated concurrently, but seeds are derived per point from the
-master seed, so output files are byte-identical for a given config and
-seed no matter how many workers run.
+and by simulation, and writes one row per point in sweep order.  A
+coupled sweep draws one Monte Carlo sample for all of its points; any
+other sweep's points are evaluated concurrently, each seeded from the
+master seed and its position.  Output files are byte-identical for a
+given config and seed no matter how many workers run.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -152,12 +153,7 @@ def _jam_distance_point(p: NetworkParams, value: float) -> NetworkParams:
     return replace(p, annulus=AnnulusRegion(value, value + 50.0))
 
 
-def _coverage_row(point_at: Callable[[NetworkParams, float], NetworkParams],
-                  config: ExperimentConfig, index: int, value: float) -> dict:
-    var = config.sweep.variable
-    point = point_at(config.params, value)
-    ana = coverage_joint(point)
-    mc = estimate_coverage(TrialConfig(point, config.n_trials, _derive_seed(config.master_seed, index)))
+def _coverage_row(var: str, value: float, ana, mc) -> dict:
     gaps = (abs(ana.p_dl - mc.p_dl), abs(ana.p_ul - mc.p_ul), abs(ana.p_joint - mc.p_joint))
     return {
         "sweep_var": var,
@@ -173,39 +169,63 @@ def _coverage_row(point_at: Callable[[NetworkParams, float], NetworkParams],
     }
 
 
-def _auth_row(config: ExperimentConfig, index: int, value: float) -> dict:
-    sigma = lq_db_to_sigma(value)
+def _beta_rows(config: ExperimentConfig, points: list[tuple[int, float]]):
+    # the geometry does not depend on the threshold: one sample, seeded
+    # by the batch's first point, evaluated at every threshold
+    mcs = estimate_coverage(TrialConfig(config.params, config.n_trials,
+                                        _derive_seed(config.master_seed, points[0][0])),
+                            beta_db=[value for _, value in points])
+    for (_, value), mc in zip(points, mcs):
+        ana = coverage_joint(_beta_point(config.params, value))
+        yield _coverage_row(config.sweep.variable, value, ana, mc)
+
+
+def _band_rows(point_at: Callable[[NetworkParams, float], NetworkParams],
+               config: ExperimentConfig, points: list[tuple[int, float]]):
+    for index, value in points:
+        point = point_at(config.params, value)
+        ana = coverage_joint(point)
+        mc = estimate_coverage(TrialConfig(point, config.n_trials,
+                                           _derive_seed(config.master_seed, index)))
+        yield _coverage_row(config.sweep.variable, value, ana, mc)
+
+
+def _auth_rows(config: ExperimentConfig, points: list[tuple[int, float]]):
     eps = config.auth.epsilon_db
-    profile, eve = _profile(config, config.auth.n_eves, sigma, eps)
-    legit = simulate_auth(profile, "legit", config.n_trials,
-                          _derive_seed(config.master_seed, index, 0))
-    eves = simulate_auth(profile, "eve", config.n_trials,
-                         _derive_seed(config.master_seed, index, 1), eve_pathlosses=eve)
-    return {
-        "lq_db": value,
-        "epsilon": eps,
-        "p_fa_cf": p_fa_closed_form(eps, sigma),
-        "p_fa_mc": legit.p_fa,
-        "p_md_cf": p_md_closed_form(profile, eve),
-        "p_md_mc": eves.p_md_claimed,
-        "p_mc_cf": p_mc_closed_form(profile),
-        "p_mc_mc": legit.p_mc,
-    }
+    for index, value in points:
+        sigma = lq_db_to_sigma(value)
+        profile, eve = _profile(config, config.auth.n_eves, sigma, eps)
+        legit = simulate_auth(profile, "legit", config.n_trials,
+                              _derive_seed(config.master_seed, index, 0))
+        eves = simulate_auth(profile, "eve", config.n_trials,
+                             _derive_seed(config.master_seed, index, 1), eve_pathlosses=eve)
+        yield {
+            "lq_db": value,
+            "epsilon": eps,
+            "p_fa_cf": p_fa_closed_form(eps, sigma),
+            "p_fa_mc": legit.p_fa,
+            "p_md_cf": p_md_closed_form(profile, eve),
+            "p_md_mc": eves.p_md_claimed,
+            "p_mc_cf": p_mc_closed_form(profile),
+            "p_mc_mc": legit.p_mc,
+        }
 
 
-def _roc_row(config: ExperimentConfig, index: int, value: float) -> dict:
+def _roc_rows(config: ExperimentConfig, points: list[tuple[int, float]]):
+    # the intruder draw does not depend on the threshold: one sample,
+    # seeded by the batch's first point, tallied at every threshold
     sigma = lq_db_to_sigma(config.auth.lq_db)
-    eps = threshold_for_pfa(value, sigma)
-    profile, _ = _profile(config, 0, sigma, eps)
-    p_d_cf = roc_curve(profile, [value])[0][2]
-    sim = simulate_auth(profile, "eve", config.n_trials,
-                        _derive_seed(config.master_seed, index))
-    return {
-        "p_fa": value,
-        "epsilon": eps,
-        "p_d_cf": p_d_cf,
-        "p_d_mc": 1.0 - sim.p_md_claimed,
-    }
+    eps = [threshold_for_pfa(value, sigma) for _, value in points]
+    profile, _ = _profile(config, 0, sigma, eps[0])
+    sims = simulate_auth(profile, "eve", config.n_trials,
+                         _derive_seed(config.master_seed, points[0][0]), epsilon=eps)
+    for (_, value), e, sim in zip(points, eps, sims):
+        yield {
+            "p_fa": value,
+            "epsilon": e,
+            "p_d_cf": roc_curve(profile, [value])[0][2],
+            "p_d_mc": 1.0 - sim.p_md_claimed,
+        }
 
 
 def _probability_sweep(sweep: SweepSpec) -> str | None:
@@ -223,29 +243,34 @@ def _radius_sweep(sweep: SweepSpec) -> str | None:
 @dataclass(frozen=True)
 class Scenario:
     """One sweep scenario: the variable it sweeps, its output columns,
-    the function computing one row, the ``auth`` keys whose product
-    counts the (intruder, fingerprint) pairs its closed form holds (none
-    for a scenario without an ``auth`` block), and the sweep-domain check."""
+    the generator of the rows of a batch of (index, value) points, in
+    order, whether the whole sweep is one batch drawn as one sample (a
+    coupled sweep) rather than one batch per point, the ``auth`` keys
+    whose product counts the (intruder, fingerprint) pairs its closed
+    form holds (none for a scenario without an ``auth`` block), and the
+    sweep-domain check.  A batch's Monte Carlo draws are seeded by its
+    first point."""
 
     variable: str
     columns: list[str]
-    row: Callable[[ExperimentConfig, int, float], dict]
+    rows: Callable[[ExperimentConfig, list[tuple[int, float]]], Iterator[dict]]
+    coupled: bool = False
     pairs: tuple[str, ...] = ()
     domain_error: Callable[[SweepSpec], str | None] = lambda sweep: None
 
 
 SCENARIOS = {
-    "coverage_vs_beta": Scenario("beta_db", COVERAGE_COLUMNS, partial(_coverage_row, _beta_point)),
-    "coverage_vs_jam_area": Scenario("z2", COVERAGE_COLUMNS,
-                                     partial(_coverage_row, _jam_area_point),
+    "coverage_vs_beta": Scenario("beta_db", COVERAGE_COLUMNS, _beta_rows, coupled=True),
+    "coverage_vs_jam_area": Scenario("z2", COVERAGE_COLUMNS, partial(_band_rows, _jam_area_point),
                                      domain_error=_radius_sweep),
     "coverage_vs_jam_distance": Scenario("z1", COVERAGE_COLUMNS,
-                                         partial(_coverage_row, _jam_distance_point),
+                                         partial(_band_rows, _jam_distance_point),
                                          domain_error=_radius_sweep),
-    "auth_errors_vs_lq": Scenario("lq_db", AUTH_COLUMNS, _auth_row, pairs=("m", "n_eves")),
+    "auth_errors_vs_lq": Scenario("lq_db", AUTH_COLUMNS, _auth_rows, pairs=("m", "n_eves")),
     # roc's one intruder is uniform over the prior support and meets each
     # fingerprint once; it draws no intruder fingerprints
-    "roc": Scenario("p_fa", ROC_COLUMNS, _roc_row, pairs=("m",), domain_error=_probability_sweep),
+    "roc": Scenario("p_fa", ROC_COLUMNS, _roc_rows, coupled=True, pairs=("m",),
+                    domain_error=_probability_sweep),
 }
 
 
@@ -479,25 +504,35 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
 # ------------------------------------------------------------- evaluation
 
 
-def _evaluate_point(config: ExperimentConfig, index: int, value: float) -> dict:
+def _evaluate_batch(config: ExperimentConfig, points: list[tuple[int, float]]) -> list[dict]:
+    """The rows of a batch of points.  A numeric failure names the point
+    whose row was being made: the first point, for a failure in the draws
+    a coupled batch shares."""
+    rows = []
     try:
-        return SCENARIOS[config.scenario].row(config, index, value)
+        for row in SCENARIOS[config.scenario].rows(config, points):
+            rows.append(row)
     except (ArithmeticError, ValueError) as exc:
+        index, value = points[len(rows)]
         raise PointFailure(index, value, f"{type(exc).__name__}: {exc}") from exc
+    return rows
 
 
 def evaluate(config: ExperimentConfig) -> list[dict]:
-    """All sweep rows, in sweep order regardless of worker scheduling."""
-    values = config.sweep.values()
+    """All sweep rows, in sweep order regardless of worker scheduling.  A
+    coupled sweep is one batch, so it runs in process; any other sweep
+    is one batch per point."""
+    points = list(enumerate(config.sweep.values()))
+    batches = [points] if SCENARIOS[config.scenario].coupled else [[point] for point in points]
     try:
-        workers = _workers(len(values))
+        workers = _workers(len(batches))
     except ValueError as exc:
         raise ConfigError([str(exc)]) from None
-    args = ([config] * len(values), range(len(values)), values)
+    run = partial(_evaluate_batch, config)
     if workers == 1:
-        return list(map(_evaluate_point, *args))
+        return [row for rows in map(run, batches) for row in rows]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_evaluate_point, *args))
+        return [row for rows in pool.map(run, batches) for row in rows]
 
 
 # ----------------------------------------------------------------- output

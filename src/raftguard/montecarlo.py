@@ -6,7 +6,7 @@ size and reduces chunk by chunk in chunk order, so results are
 bit-identical for a given (config, seed) on any number of threads or
 processes.  The coverage engines are Rao-Blackwellised: they draw only
 the geometry and average the exact Rayleigh-fading probability of
-success given it (``channel.rayleigh_coverage`` per direction,
+success given it (``channel.rayleigh_coverage_blocks`` per direction,
 ``channel.two_way_coverage`` for both); the authentication
 engine tallies integer counts and reports their rates.
 
@@ -26,13 +26,13 @@ import math
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import chndtr
 
 from raftguard.auth import AuthProfile
-from raftguard.channel import NetworkParams, rayleigh_coverage, two_way_coverage
+from raftguard.channel import NetworkParams, rayleigh_coverage_blocks, two_way_coverage
 from raftguard.geometry import annulus_radii, link_distances
 from raftguard.specfun import gauss_legendre, q_inverse
 
@@ -248,7 +248,8 @@ class CoverageEstimate:
         return self.p_dl * self.p_ul
 
 
-def estimate_coverage(config: TrialConfig) -> CoverageEstimate:
+def estimate_coverage(config: TrialConfig,
+                      beta_db=None) -> CoverageEstimate | list[CoverageEstimate]:
     """Downlink/uplink coverage of the typical follower, averaged over
     simulated geometry.
 
@@ -260,21 +261,47 @@ def estimate_coverage(config: TrialConfig) -> CoverageEstimate:
     of the two marginals, matching the analytic product form, so its
     half-width comes from error propagation, with the covariance of the
     two marginals, which share every trial's geometry.
+
+    ``beta_db``, a sequence of SIR thresholds in dB, each taken by both
+    directions, turns the run into a threshold sweep: it returns one
+    estimate per threshold, all from one sample, since the geometry does
+    not depend on the threshold (common random numbers).  Estimate k is
+    bitwise the one-threshold run on the params with both thresholds at
+    ``beta_db[k]``, and each trial's coverage cannot rise with the
+    threshold, so neither can the estimates.
     """
     p = config.params
-    beta_gamma = (p.beta_dl * p.gamma_dl, p.beta_ul * p.gamma_ul)
-    both = _TrialMean()
+    points = [p] if beta_db is None else [replace(p, beta_dl_db=b, beta_ul_db=b) for b in beta_db]
+    if not points:
+        raise ValueError("beta_db must hold at least one threshold")
+    blocks = [(q.beta_dl * q.gamma_dl, q.beta_ul * q.gamma_ul) for q in points]
+    means = [_TrialMean() for _ in blocks]
     for size, rng in _chunks(config.n_trials, config.master_seed):
-        owner, d_jam = _jammers(p, size, rng)
-        r = link_distances(p.rho_t, size, rng)
-        both.add(rayleigh_coverage(r, d_jam, owner, beta_gamma, p.alpha))
+        # one (2, size) dl/ul block per threshold, each fed to its own
+        # mean, so the chunk never holds every threshold's rows at once
+        for both, block in zip(means, _coverage_blocks(p, blocks, size, rng)):
+            both.add(block)
+    estimates = [_coverage_estimate(config.n_trials, both) for both in means]
+    return estimates[0] if beta_db is None else estimates
 
+
+def _coverage_blocks(p: NetworkParams, blocks, size: int, rng: np.random.Generator):
+    """One chunk's coverage blocks: its jammers and link distances are
+    drawn once and held only by the returned generator, so they are gone
+    before the next chunk draws."""
+    owner, d_jam = _jammers(p, size, rng)
+    r = link_distances(p.rho_t, size, rng)
+    return rayleigh_coverage_blocks(r, d_jam, owner, blocks, p.alpha)
+
+
+def _coverage_estimate(n_trials: int, both: _TrialMean) -> CoverageEstimate:
+    """The estimate from the (dl, ul) trial mean of one threshold."""
     p_dl, p_ul = (float(x) for x in both.mean)
     (var_dl, cov), (_, var_ul) = both.covariance
     var_joint = (p_ul * p_ul * var_dl + p_dl * p_dl * var_ul
                  + 2.0 * p_dl * p_ul * cov)
     return CoverageEstimate(
-        n_trials=config.n_trials,
+        n_trials=n_trials,
         p_dl=p_dl,
         p_ul=p_ul,
         ci_dl=_Z95 * math.sqrt(var_dl),
@@ -361,7 +388,8 @@ def simulate_auth(
     n_trials: int,
     master_seed: int,
     eve_pathlosses=None,
-) -> LegitOutcome | IntruderOutcome:
+    epsilon=None,
+) -> LegitOutcome | IntruderOutcome | list[LegitOutcome] | list[IntruderOutcome]:
     """Run the threshold-plus-nearest-fingerprint test many times.
 
     "legit": each trial picks an enrolled identity uniformly, adds
@@ -372,12 +400,21 @@ def simulate_auth(
     prior support when the vector is omitted; the intruder also claims
     one uniformly chosen identity, tallied separately against that
     identity's window alone; returns an ``IntruderOutcome``.
+
+    ``epsilon``, a sequence of acceptance thresholds, replaces the
+    profile's one and turns the run into a threshold sweep: it returns
+    one outcome per threshold, all tallied from one sample of trials,
+    since no draw depends on the threshold (common random numbers).
+    Outcome k is bitwise the run of the profile with ``epsilon[k]``.
     """
     if scenario not in ("legit", "eve"):
         raise ValueError(f"unknown scenario {scenario!r}")
     n_trials, master_seed = _check_run(n_trials, master_seed)
     if scenario == "legit" and eve_pathlosses is not None:
         raise ValueError("eve_pathlosses only applies to the 'eve' scenario")
+    eps = np.array([profile.epsilon] if epsilon is None else epsilon, dtype=float)
+    if eps.ndim != 1 or eps.size == 0 or not np.all(np.isfinite(eps) & (eps >= 0.0)):
+        raise ValueError("epsilon must be a non-empty 1-D array of finite values >= 0")
 
     m = profile.m
     pool = None
@@ -389,9 +426,9 @@ def simulate_auth(
     # that of ``integers``
     weights = None if pool is None else np.full(pool.size, 1.0 / pool.size)
 
-    n_accepted = 0
+    n_accepted = np.zeros(eps.size, dtype=np.int64)
+    n_claimed_accepted = np.zeros(eps.size, dtype=np.int64)
     n_wrong = 0
-    n_claimed_accepted = 0
     for size, rng in _chunks(n_trials, master_seed):
         if pool is not None:
             ident = rng.choice(pool.size, size=size, p=weights)
@@ -402,13 +439,24 @@ def simulate_auth(
         claimed = rng.integers(0, m, size) if scenario == "eve" else None
 
         matched = profile.nearest(z)
-        n_accepted += int(np.count_nonzero(profile.accepts(z, matched)))
+        n_accepted += _accepted(profile.deviation(z, matched), eps)
         if scenario == "legit":
             n_wrong += int(np.count_nonzero(matched != ident))
         else:
-            n_claimed_accepted += int(np.count_nonzero(profile.accepts(z, claimed)))
+            n_claimed_accepted += _accepted(profile.deviation(z, claimed), eps)
 
     if scenario == "legit":
-        return LegitOutcome(n_trials, p_fa=1.0 - n_accepted / n_trials, p_mc=n_wrong / n_trials)
-    return IntruderOutcome(n_trials, p_md=n_accepted / n_trials,
-                           p_md_claimed=n_claimed_accepted / n_trials)
+        outcomes = [LegitOutcome(n_trials, p_fa=1.0 - a / n_trials, p_mc=n_wrong / n_trials)
+                    for a in n_accepted.tolist()]
+    else:
+        outcomes = [IntruderOutcome(n_trials, p_md=a / n_trials, p_md_claimed=c / n_trials)
+                    for a, c in zip(n_accepted.tolist(), n_claimed_accepted.tolist())]
+    return outcomes[0] if epsilon is None else outcomes
+
+
+def _accepted(deviation: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """How many deviations each threshold accepts under the profile's
+    strict rule ``deviation < epsilon`` (``AuthProfile.accepts``): the
+    deviations are sorted once, and the left insertion point of a
+    threshold counts those strictly below it, so the boundary rejects."""
+    return np.searchsorted(np.sort(deviation), eps, side="left")

@@ -385,3 +385,11 @@ def test_false_alarm_rate_matches_closed_form():
     res = simulate_auth(prof, "legit", 50000, 99)
     se = math.sqrt(0.1 * 0.9 / 50000)
     assert abs(res.p_fa - 0.1) <= 3.0 * se
+
+
+def test_acceptance_is_the_deviation_below_the_threshold():
+    prof = AuthProfile(ground_truth=np.array([10.0, 20.0]), sigma=1.0, epsilon=1.5)
+    z, index = np.array([9.0, 21.5, 18.0, 10.0]), np.array([0, 1, 1, 0])
+    assert prof.deviation(z, index).tolist() == [1.0, 1.5, 2.0, 0.0]
+    assert prof.accepts(z, index).tolist() == (prof.deviation(z, index) < 1.5).tolist()
+    assert prof.accepts(z, index).tolist() == [True, False, False, True]

@@ -8,6 +8,7 @@ from raftguard.channel import (
     db_to_linear,
     pathloss_db,
     rayleigh_coverage,
+    rayleigh_coverage_blocks,
     two_way_coverage,
 )
 from raftguard.geometry import AnnulusRegion, DiskRegion
@@ -168,6 +169,24 @@ def test_rayleigh_coverage_holds_two_jammer_sized_arrays():
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * d_jam.nbytes, kernel.__name__
+
+
+def test_rayleigh_coverage_blocks_are_the_kernel_per_block():
+    # one gather for every block, each block bitwise the kernel at its
+    # thresholds, and the jammer-sized buffers shared by all 16 blocks
+    rng = np.random.default_rng(6)
+    d_jam = 300.0 * np.sqrt(rng.random(200_000))
+    owner = rng.integers(0, 512, d_jam.size)
+    link = 30.0 + 470.0 * rng.random(512)
+    blocks = [(1e-3 * 1.5**k, 1e-2 * 1.5**k) for k in range(16)]
+    tracemalloc.start()
+    try:
+        got = [block.tobytes() for block in rayleigh_coverage_blocks(link, d_jam, owner, blocks, 3.0)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [rayleigh_coverage(link, d_jam, owner, b, 3.0).tobytes() for b in blocks]
+    assert peak < 2.5 * d_jam.nbytes + 16 * 2 * link.nbytes
 
 
 def random_field(rng, rows, per_row):

@@ -518,17 +518,18 @@ def test_diagnostics_enumerate_all_problems(tmp_path, capsys):
 # ---------------------------------------------------------- failure paths
 
 
-def patch_row(monkeypatch, scenario, row):
-    monkeypatch.setitem(cli.SCENARIOS, scenario, replace(cli.SCENARIOS[scenario], row=row))
+def patch_rows(monkeypatch, scenario, rows):
+    monkeypatch.setitem(cli.SCENARIOS, scenario, replace(cli.SCENARIOS[scenario], rows=rows))
 
 
 def test_numeric_failure_exits_three(tmp_path, capsys, monkeypatch):
-    def boom(config, index, value):
-        if index == 2:
-            raise FloatingPointError("synthetic blowup")
-        return {}
+    def boom(config, points):
+        for index, value in points:
+            if index == 2:
+                raise FloatingPointError("synthetic blowup")
+            yield {}
 
-    patch_row(monkeypatch, "coverage_vs_beta", boom)
+    patch_rows(monkeypatch, "coverage_vs_beta", boom)
     path = write_config(tmp_path, base_config(tmp_path))
     assert cli.main(["--config", path]) == 3
     err = capsys.readouterr().err
@@ -536,11 +537,34 @@ def test_numeric_failure_exits_three(tmp_path, capsys, monkeypatch):
     assert "at point 2 (beta_db = -10.0, master seed 7)" in err
 
 
-def test_programming_error_is_not_a_numeric_failure(tmp_path, capsys, monkeypatch):
-    def broken(config, index, value):
-        raise TypeError("synthetic bug")
+@pytest.mark.parametrize("scenario, engine, where", [
+    ("coverage_vs_beta", "estimate_coverage", "at point 0 (beta_db = -30.0, master seed 7)"),
+    ("roc", "simulate_auth", "at point 0 (p_fa = 0.05, master seed 7)"),
+])
+def test_failing_shared_draw_names_the_first_point(tmp_path, capsys, monkeypatch,
+                                                   scenario, engine, where):
+    # a coupled sweep's one sample is seeded by its first point, which a
+    # failure of that draw names
+    def boom(*args, **kwargs):
+        raise FloatingPointError("synthetic blowup")
 
-    patch_row(monkeypatch, "coverage_vs_beta", broken)
+    monkeypatch.setattr(cli, engine, boom)
+    cfg = base_config(tmp_path, scenario=scenario)
+    if scenario == "roc":
+        cfg["sweep"] = {"variable": "p_fa", "start": 0.05, "stop": 0.15, "step": 0.05}
+        cfg["auth"] = {"m": 5, "profile_seed": 28294}
+    assert cli.main(["--config", write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "synthetic blowup" in err and where in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_programming_error_is_not_a_numeric_failure(tmp_path, capsys, monkeypatch):
+    def broken(config, points):
+        raise TypeError("synthetic bug")
+        yield
+
+    patch_rows(monkeypatch, "coverage_vs_beta", broken)
     path = write_config(tmp_path, base_config(tmp_path))
     with pytest.raises(TypeError, match="synthetic bug"):
         cli.main(["--config", path])
@@ -559,16 +583,30 @@ def test_worker_count_is_clamped(monkeypatch):
     assert cli._workers(16) == 4
 
 
+def no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
 def test_pool_is_one_process_on_one_usable_cpu(tmp_path, monkeypatch):
     # pinned to one CPU with the variable unset, the points run in process
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
     monkeypatch.setattr(montecarlo, "_threads", lambda: 1)
     monkeypatch.delenv("RAFTGUARD_WORKERS")
     monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
-    config = cli.build_config(base_config(tmp_path, n_trials=200), "")
-    assert len(cli.evaluate(config)) == 4
+    cfg = base_config(tmp_path, scenario="coverage_vs_jam_area", n_trials=200)
+    cfg["sweep"] = {"variable": "z2", "start": 0.0, "stop": 300.0, "step": 100.0}
+    assert len(cli.evaluate(cli.build_config(cfg, ""))) == 4
+
+
+def test_coupled_sweep_starts_no_process_pool(tmp_path, monkeypatch):
+    # one batch for the whole sweep, so one worker on any number of CPUs
+    monkeypatch.setattr(montecarlo, "_threads", lambda: 4)
+    monkeypatch.setenv("RAFTGUARD_WORKERS", "4")
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    assert len(cli.evaluate(cli.build_config(base_config(tmp_path, n_trials=200), ""))) == 4
+    cfg = base_config(tmp_path, scenario="roc", n_trials=200)
+    cfg["sweep"] = {"variable": "p_fa", "start": 0.05, "stop": 0.15, "step": 0.05}
+    cfg["auth"] = {"m": 5, "profile_seed": 28294}
+    assert len(cli.evaluate(cli.build_config(cfg, ""))) == 3
 
 
 def test_malformed_worker_count_is_a_config_error(tmp_path, capsys, monkeypatch):

@@ -17,8 +17,6 @@ import pathlib
 import pytest
 
 from raftguard import cli
-from raftguard.coverage import coverage_joint
-from raftguard.montecarlo import TrialConfig, estimate_coverage
 from raftguard.specfun import q_inverse
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -29,23 +27,36 @@ Z95 = q_inverse(0.025)
 def shipped_coverage_configs():
     configs = [cli.load_config(str(path)) for path in sorted(CONFIGS.glob("*.json"))]
     return [pytest.param(c, id=pathlib.Path(c.output_path).stem) for c in configs
-            if getattr(cli.SCENARIOS[c.scenario].row, "func", None) is cli._coverage_row]
+            if cli.columns_for(c.scenario) == cli.COVERAGE_COLUMNS]
 
 
 def test_seven_shipped_coverage_configs():
     assert len(shipped_coverage_configs()) == 7
 
 
+def recorder(fn, out):
+    """``fn``, appending each result to ``out``; a list of results (one
+    per threshold of a coupled sweep) is appended result by result."""
+    def recorded(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        out.extend(result if isinstance(result, list) else [result])
+        return result
+    return recorded
+
+
 @pytest.mark.parametrize("config", shipped_coverage_configs())
-def test_simulated_points_lie_within_standard_errors_of_the_closed_form(config):
-    # the CLI's own points and seeds: its point function and seed derivation
-    point_at = cli.SCENARIOS[config.scenario].row.args[0]
+def test_simulated_points_lie_within_standard_errors_of_the_closed_form(config, monkeypatch):
+    # the CLI's own points, seeds and coupling: the closed forms and
+    # estimates its in-process evaluation makes, in sweep order
+    monkeypatch.setenv("RAFTGUARD_WORKERS", "1")
+    closed, simulated = [], []
+    monkeypatch.setattr(cli, "coverage_joint", recorder(cli.coverage_joint, closed))
+    monkeypatch.setattr(cli, "estimate_coverage", recorder(cli.estimate_coverage, simulated))
+    cli.evaluate(config)
+    values = config.sweep.values()
+    assert len(closed) == len(simulated) == len(values)
     outliers = []
-    for index, value in enumerate(config.sweep.values()):
-        point = point_at(config.params, value)
-        cf = coverage_joint(point)
-        mc = estimate_coverage(TrialConfig(point, config.n_trials,
-                                           cli._derive_seed(config.master_seed, index)))
+    for value, cf, mc in zip(values, closed, simulated):
         for direction, p_cf, p_mc, ci in (("dl", cf.p_dl, mc.p_dl, mc.ci_dl),
                                           ("ul", cf.p_ul, mc.p_ul, mc.ci_ul)):
             se = ci / Z95

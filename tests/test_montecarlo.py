@@ -544,3 +544,64 @@ def test_run_arguments_accept_numpy_integers():
     res = simulate_auth(profile(), "legit", np.int64(100), np.int64(3))
     assert type(res.n_trials) is int
     assert res == simulate_auth(profile(), "legit", 100, 3)
+
+
+# ------------------------------------------------------ threshold sweeps
+
+
+def hex_fields(record):
+    return {k: v.hex() if isinstance(v, float) else v for k, v in vars(record).items()}
+
+
+def test_coverage_threshold_sweep_is_the_one_threshold_run_at_each_threshold():
+    # one sample for every threshold: estimate k is bitwise the run with
+    # both thresholds at beta_db[k] and the same seed
+    betas = [-30.0, -20.0, -20.0, 0.0, -7.5]
+    config = TrialConfig(params(rho_j=2.0 * NetworkParams().rho_j), 3 * CHUNK_SIZE + 17, 5)
+    sweep = estimate_coverage(config, beta_db=betas)
+    assert len(sweep) == len(betas)
+    for beta, got in zip(betas, sweep):
+        one = estimate_coverage(replace(config, params=replace(config.params, beta_dl_db=beta,
+                                                               beta_ul_db=beta)))
+        assert hex_fields(got) == hex_fields(one), beta
+
+
+def test_coverage_threshold_sweep_needs_finite_thresholds():
+    config = TrialConfig(params(), 100, 1)
+    for bad in ([], [float("nan")], [-20.0, float("inf")]):
+        with pytest.raises(ValueError):
+            estimate_coverage(config, beta_db=bad)
+
+
+@pytest.mark.parametrize("scenario, eves", [("legit", None), ("eve", [50.0, 61.0, 75.0]),
+                                            ("eve", None)], ids=["legit", "eve-fixed", "eve-uniform"])
+def test_auth_threshold_sweep_is_the_one_threshold_run_at_each_threshold(scenario, eves):
+    prof = profile()
+    thresholds = [0.0, prof.epsilon, 0.05, 3.0, prof.epsilon]
+    n = 3 * CHUNK_SIZE + 17
+    sweep = simulate_auth(prof, scenario, n, 21, eve_pathlosses=eves, epsilon=thresholds)
+    assert len(sweep) == len(thresholds)
+    for eps, got in zip(thresholds, sweep):
+        one = simulate_auth(replace(prof, epsilon=eps), scenario, n, 21, eve_pathlosses=eves)
+        assert hex_fields(got) == hex_fields(one), eps
+
+
+def test_auth_tally_rejects_the_boundary():
+    # one fingerprint and noise too small to move a measurement: every
+    # legitimate deviation is 0 and every intruder's |50 - 40| = 10, so a
+    # threshold equal to the deviation rejects every trial, as
+    # AuthProfile.accepts does, and the next double up accepts them all
+    prof = AuthProfile(ground_truth=np.array([40.0]), sigma=1e-300, epsilon=1.0)
+    assert not replace(prof, epsilon=0.0).accepts(40.0, 0)
+    assert not replace(prof, epsilon=10.0).accepts(50.0, 0)
+    legit = simulate_auth(prof, "legit", 500, 1, epsilon=[0.0, 5e-324])
+    assert [r.p_fa for r in legit] == [1.0, 0.0]
+    eve = simulate_auth(prof, "eve", 500, 2, eve_pathlosses=[50.0],
+                        epsilon=[10.0, np.nextafter(10.0, np.inf)])
+    assert [(r.p_md, r.p_md_claimed) for r in eve] == [(0.0, 0.0), (1.0, 1.0)]
+
+
+@pytest.mark.parametrize("bad", [[], [-0.5], [float("nan")], [[1.0]], [1.0, float("inf")]])
+def test_auth_threshold_sweep_needs_finite_thresholds(bad):
+    with pytest.raises(ValueError):
+        simulate_auth(profile(), "eve", 100, 0, epsilon=bad)
