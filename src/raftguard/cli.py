@@ -32,7 +32,6 @@ from raftguard.auth import (
     p_mc_closed_form,
     roc_curve,
     sample_fingerprints,
-    threshold_for_pfa,
 )
 from raftguard.channel import NetworkParams, pathloss_db
 from raftguard.coverage import coverage_joint
@@ -191,41 +190,44 @@ def _band_rows(point_at: Callable[[NetworkParams, float], NetworkParams],
 
 
 def _auth_rows(config: ExperimentConfig, points: list[tuple[int, float]]):
+    # the identities, intruder draws and claims do not depend on the noise
+    # level: one sample, seeded by the batch's first point, its standard
+    # normal noise scaled to every point's sigma
     eps = config.auth.epsilon_db
-    for index, value in points:
-        sigma = lq_db_to_sigma(value)
-        profile, eve = _profile(config, config.auth.n_eves, sigma, eps)
-        legit = simulate_auth(profile, "legit", config.n_trials,
-                              _derive_seed(config.master_seed, index, 0))
-        eves = simulate_auth(profile, "eve", config.n_trials,
-                             _derive_seed(config.master_seed, index, 1), eve_pathlosses=eve)
+    sigmas = [lq_db_to_sigma(value) for _, value in points]
+    profile, eve = _profile(config, config.auth.n_eves, sigmas[0], eps)
+    first = points[0][0]
+    legits = simulate_auth(profile, "legit", config.n_trials,
+                           _derive_seed(config.master_seed, first, 0), sigma=sigmas)
+    eves = simulate_auth(profile, "eve", config.n_trials,
+                         _derive_seed(config.master_seed, first, 1), eve_pathlosses=eve,
+                         sigma=sigmas)
+    for (_, value), sigma, legit, intruder in zip(points, sigmas, legits, eves):
+        point = replace(profile, sigma=sigma)
         yield {
             "lq_db": value,
             "epsilon": eps,
             "p_fa_cf": p_fa_closed_form(eps, sigma),
             "p_fa_mc": legit.p_fa,
-            "p_md_cf": p_md_closed_form(profile, eve),
-            "p_md_mc": eves.p_md_claimed,
-            "p_mc_cf": p_mc_closed_form(profile),
+            "p_md_cf": p_md_closed_form(point, eve),
+            "p_md_mc": intruder.p_md_claimed,
+            "p_mc_cf": p_mc_closed_form(point),
             "p_mc_mc": legit.p_mc,
         }
 
 
 def _roc_rows(config: ExperimentConfig, points: list[tuple[int, float]]):
     # the intruder draw does not depend on the threshold: one sample,
-    # seeded by the batch's first point, tallied at every threshold
+    # seeded by the batch's first point, tallied at every threshold that
+    # roc_curve calibrates; neither reads the profile's own threshold
     sigma = lq_db_to_sigma(config.auth.lq_db)
-    eps = [threshold_for_pfa(value, sigma) for _, value in points]
-    profile, _ = _profile(config, 0, sigma, eps[0])
+    profile, _ = _profile(config, 0, sigma, config.auth.epsilon_db)
+    curve = roc_curve(profile, [value for _, value in points])
     sims = simulate_auth(profile, "eve", config.n_trials,
-                         _derive_seed(config.master_seed, points[0][0]), epsilon=eps)
-    for (_, value), e, sim in zip(points, eps, sims):
-        yield {
-            "p_fa": value,
-            "epsilon": e,
-            "p_d_cf": roc_curve(profile, [value])[0][2],
-            "p_d_mc": 1.0 - sim.p_md_claimed,
-        }
+                         _derive_seed(config.master_seed, points[0][0]),
+                         epsilon=[e for _, e, _ in curve])
+    for (p_fa, e, p_d), sim in zip(curve, sims):
+        yield {"p_fa": p_fa, "epsilon": e, "p_d_cf": p_d, "p_d_mc": 1.0 - sim.p_md_claimed}
 
 
 def _probability_sweep(sweep: SweepSpec) -> str | None:
@@ -266,7 +268,8 @@ SCENARIOS = {
     "coverage_vs_jam_distance": Scenario("z1", COVERAGE_COLUMNS,
                                          partial(_band_rows, _jam_distance_point),
                                          domain_error=_radius_sweep),
-    "auth_errors_vs_lq": Scenario("lq_db", AUTH_COLUMNS, _auth_rows, pairs=("m", "n_eves")),
+    "auth_errors_vs_lq": Scenario("lq_db", AUTH_COLUMNS, _auth_rows, coupled=True,
+                                  pairs=("m", "n_eves")),
     # roc's one intruder is uniform over the prior support and meets each
     # fingerprint once; it draws no intruder fingerprints
     "roc": Scenario("p_fa", ROC_COLUMNS, _roc_rows, coupled=True, pairs=("m",),

@@ -389,6 +389,7 @@ def simulate_auth(
     master_seed: int,
     eve_pathlosses=None,
     epsilon=None,
+    sigma=None,
 ) -> LegitOutcome | IntruderOutcome | list[LegitOutcome] | list[IntruderOutcome]:
     """Run the threshold-plus-nearest-fingerprint test many times.
 
@@ -406,15 +407,28 @@ def simulate_auth(
     one outcome per threshold, all tallied from one sample of trials,
     since no draw depends on the threshold (common random numbers).
     Outcome k is bitwise the run of the profile with ``epsilon[k]``.
+
+    ``sigma``, a sequence of noise levels, likewise replaces the
+    profile's one and turns the run into a noise sweep: each chunk draws
+    its identities, one standard normal vector g and its claims once,
+    and each level sigma_k matches the measurements truth + sigma_k * g.
+    ``Generator.normal(0, sigma)`` is 0 + sigma * g from the same stream,
+    so outcome k is bitwise the run of the profile with ``sigma[k]``.
+    At most one of ``epsilon`` and ``sigma`` may be a sweep.
     """
     if scenario not in ("legit", "eve"):
         raise ValueError(f"unknown scenario {scenario!r}")
     n_trials, master_seed = _check_run(n_trials, master_seed)
     if scenario == "legit" and eve_pathlosses is not None:
         raise ValueError("eve_pathlosses only applies to the 'eve' scenario")
+    if epsilon is not None and sigma is not None:
+        raise ValueError("sweep epsilon or sigma, not both")
     eps = np.array([profile.epsilon] if epsilon is None else epsilon, dtype=float)
     if eps.ndim != 1 or eps.size == 0 or not np.all(np.isfinite(eps) & (eps >= 0.0)):
         raise ValueError("epsilon must be a non-empty 1-D array of finite values >= 0")
+    sig = np.array([profile.sigma] if sigma is None else sigma, dtype=float)
+    if sig.ndim != 1 or sig.size == 0 or not np.all(np.isfinite(sig) & (sig > 0.0)):
+        raise ValueError("sigma must be a non-empty 1-D array of finite values > 0")
 
     m = profile.m
     pool = None
@@ -426,32 +440,38 @@ def simulate_auth(
     # that of ``integers``
     weights = None if pool is None else np.full(pool.size, 1.0 / pool.size)
 
-    n_accepted = np.zeros(eps.size, dtype=np.int64)
-    n_claimed_accepted = np.zeros(eps.size, dtype=np.int64)
-    n_wrong = 0
+    # one row of tallies per noise level, one column per threshold; at
+    # most one of the two has more than one entry
+    n_accepted = np.zeros((sig.size, eps.size), dtype=np.int64)
+    n_claimed_accepted = np.zeros_like(n_accepted)
+    n_wrong = np.zeros(sig.size, dtype=np.int64)
     for size, rng in _chunks(n_trials, master_seed):
         if pool is not None:
             ident = rng.choice(pool.size, size=size, p=weights)
             truth = pool[ident]
         else:
             truth = rng.uniform(profile.psi_min, profile.psi_max, size)
-        z = truth + rng.normal(0.0, profile.sigma, size)
+        noise = rng.standard_normal(size)
         claimed = rng.integers(0, m, size) if scenario == "eve" else None
 
-        matched = profile.nearest(z)
-        n_accepted += _accepted(profile.deviation(z, matched), eps)
-        if scenario == "legit":
-            n_wrong += int(np.count_nonzero(matched != ident))
-        else:
-            n_claimed_accepted += _accepted(profile.deviation(z, claimed), eps)
+        # one noise level at a time, so the chunk holds one measurement vector
+        for k, s in enumerate(sig):
+            z = truth + s * noise
+            matched = profile.nearest(z)
+            n_accepted[k] += _accepted(profile.deviation(z, matched), eps)
+            if scenario == "legit":
+                n_wrong[k] += np.count_nonzero(matched != ident)
+            else:
+                n_claimed_accepted[k] += _accepted(profile.deviation(z, claimed), eps)
 
+    accepted = n_accepted.ravel().tolist()
     if scenario == "legit":
-        outcomes = [LegitOutcome(n_trials, p_fa=1.0 - a / n_trials, p_mc=n_wrong / n_trials)
-                    for a in n_accepted.tolist()]
+        outcomes = [LegitOutcome(n_trials, p_fa=1.0 - a / n_trials, p_mc=w / n_trials)
+                    for a, w in zip(accepted, np.repeat(n_wrong, eps.size).tolist())]
     else:
         outcomes = [IntruderOutcome(n_trials, p_md=a / n_trials, p_md_claimed=c / n_trials)
-                    for a, c in zip(n_accepted.tolist(), n_claimed_accepted.tolist())]
-    return outcomes[0] if epsilon is None else outcomes
+                    for a, c in zip(accepted, n_claimed_accepted.ravel().tolist())]
+    return outcomes[0] if epsilon is None and sigma is None else outcomes
 
 
 def _accepted(deviation: np.ndarray, eps: np.ndarray) -> np.ndarray:

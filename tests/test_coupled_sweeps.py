@@ -1,24 +1,26 @@
-"""The coupled sweeps: ``roc`` and both ``coverage_vs_beta`` configs draw
-one Monte Carlo sample for the whole sweep, seeded by point 0, and
-evaluate it at every threshold (common random numbers).
+"""The coupled sweeps: ``roc``, both ``coverage_vs_beta`` configs and
+``auth_errors_vs_lq`` draw one Monte Carlo sample for the whole sweep,
+seeded by point 0, and evaluate it at every threshold or noise level
+(common random numbers).
 
-Each trial's outcome is then monotone in the threshold, so the
-simulated columns are monotone by construction, as their closed forms
-are; and each point is bitwise the one-threshold engine call at its
-threshold with the shared seed.
+Each trial's outcome is then monotone in the swept variable where the
+closed form is, so those simulated columns are monotone by
+construction; and each point is bitwise the one-point engine call at
+its threshold or noise level with the shared seed.
 """
 
 import pathlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from raftguard import cli
-from raftguard.auth import lq_db_to_sigma, threshold_for_pfa
+from raftguard.auth import AuthProfile, lq_db_to_sigma, threshold_for_pfa
 from raftguard.montecarlo import CHUNK_SIZE, TrialConfig, estimate_coverage, simulate_auth
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
-COUPLED = ["coverage_vs_beta", "coverage_vs_beta__dense_jammers", "roc"]
+COUPLED = ["auth_errors_vs_lq", "coverage_vs_beta", "coverage_vs_beta__dense_jammers", "roc"]
 
 
 @pytest.fixture(autouse=True)
@@ -30,10 +32,11 @@ def shipped(name, n_trials):
     return cli.load_config(str(CONFIGS / f"{name}.json"), {"n_trials": n_trials})
 
 
-def test_the_coupled_scenarios_are_the_threshold_sweeps():
+def test_the_coupled_scenarios_are_the_threshold_and_noise_sweeps():
     coupled = {name for name in COUPLED if cli.SCENARIOS[shipped(name, 1).scenario].coupled}
     assert coupled == set(COUPLED)
-    assert [s for s, spec in cli.SCENARIOS.items() if spec.coupled] == ["coverage_vs_beta", "roc"]
+    assert [s for s, spec in cli.SCENARIOS.items() if spec.coupled] == [
+        "coverage_vs_beta", "auth_errors_vs_lq", "roc"]
 
 
 @pytest.mark.parametrize("n_trials", [2000, 100_000])
@@ -47,6 +50,12 @@ def test_coupled_columns_are_monotone(name, n_trials):
         p_d = [r["p_d_mc"] for r in rows]
         assert len(p_d) == 49
         assert all(b >= a for a, b in zip(p_d, p_d[1:])), p_d
+    elif config.scenario == "auth_errors_vs_lq":
+        # 15 steps up the link quality: each measurement moves toward its
+        # own fingerprint, so a trial matched to it stays matched
+        p_mc = [r["p_mc_mc"] for r in rows]
+        assert len(p_mc) == 16
+        assert all(b <= a for a, b in zip(p_mc, p_mc[1:])), p_mc
     else:
         # 15 steps up the SIR threshold: no coverage column rises
         assert len(rows) == 16
@@ -62,7 +71,17 @@ def test_each_coupled_point_is_the_one_threshold_call(name):
     seed = cli._derive_seed(config.master_seed, 0)
     rows = cli.evaluate(config)
     for value, row in zip(config.sweep.values(), rows):
-        if config.scenario == "roc":
+        if config.scenario == "auth_errors_vs_lq":
+            profile, eve = cli._profile(config, config.auth.n_eves, lq_db_to_sigma(value),
+                                        config.auth.epsilon_db)
+            legit = simulate_auth(profile, "legit", config.n_trials,
+                                  cli._derive_seed(config.master_seed, 0, 0))
+            intruder = simulate_auth(profile, "eve", config.n_trials,
+                                     cli._derive_seed(config.master_seed, 0, 1),
+                                     eve_pathlosses=eve)
+            want = {"p_fa_mc": legit.p_fa, "p_mc_mc": legit.p_mc,
+                    "p_md_mc": intruder.p_md_claimed}
+        elif config.scenario == "roc":
             sigma = lq_db_to_sigma(config.auth.lq_db)
             profile, _ = cli._profile(config, 0, sigma, threshold_for_pfa(value, sigma))
             one = simulate_auth(profile, "eve", config.n_trials, seed)
@@ -73,3 +92,31 @@ def test_each_coupled_point_is_the_one_threshold_call(name):
             want = {"p_dl_mc": one.p_dl, "p_ul_mc": one.p_ul, "p_joint_mc": one.p_joint,
                     "ci_halfwidth": max(one.ci_dl, one.ci_ul, one.ci_joint)}
         assert {k: row[k].hex() for k in want} == {k: v.hex() for k, v in want.items()}, value
+
+
+def hexed(outcome):
+    return {k: v.hex() for k, v in vars(outcome).items() if isinstance(v, float)}
+
+
+@pytest.mark.parametrize("scenario, eves", [("legit", None), ("eve", [50.0, 61.0, 75.0]),
+                                            ("eve", None)], ids=["legit", "eve-fixed", "eve-uniform"])
+def test_noise_sweep_is_the_one_sigma_run_at_each_sigma(scenario, eves):
+    prof = AuthProfile(ground_truth=np.array([43.3, 57.6, 62.6, 62.9, 70.1]), sigma=0.3,
+                       epsilon=1.0)
+    sigmas = [3.0, prof.sigma, 1e-3, 0.7, prof.sigma]
+    n = 3 * CHUNK_SIZE + 17
+    sweep = simulate_auth(prof, scenario, n, 21, eve_pathlosses=eves, sigma=sigmas)
+    assert len(sweep) == len(sigmas)
+    for sigma, got in zip(sigmas, sweep):
+        one = simulate_auth(replace(prof, sigma=sigma), scenario, n, 21, eve_pathlosses=eves)
+        assert hexed(got) == hexed(one), sigma
+
+
+@pytest.mark.parametrize("sigma, epsilon", [
+    ([], None), ([[0.5]], None), ([0.5, float("nan")], None), ([float("inf")], None),
+    ([0.0], None), ([0.5, -1.0], None), ([0.5, 1.0], [1.0, 2.0]), ([0.5], [1.0]),
+], ids=["empty", "2-D", "nan", "inf", "zero", "negative", "both-swept", "both-given"])
+def test_noise_sweep_rejects_bad_sigma(sigma, epsilon):
+    prof = AuthProfile(ground_truth=np.array([43.3, 57.6]), sigma=0.3, epsilon=1.0)
+    with pytest.raises(ValueError):
+        simulate_auth(prof, "legit", 100, 0, sigma=sigma, epsilon=epsilon)
