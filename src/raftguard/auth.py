@@ -3,8 +3,8 @@
 The leader keeps one expected pathloss value (a fingerprint, in dB) per
 enrolled follower.  An incoming measurement is matched to the nearest
 fingerprint; the residual is compared to a threshold calibrated for a
-target false-alarm rate.  This module holds the profile with both of
-those rules, which the Monte Carlo counterpart in
+target false-alarm rate.  This module holds the profile with the match
+and ``count_accepted`` with the threshold test, both of which
 ``raftguard.montecarlo`` calls, and the closed-form error rates.
 """
 
@@ -17,12 +17,13 @@ from functools import cached_property
 
 import numpy as np
 
-from raftguard.channel import pathloss_db
+from raftguard.channel import NetworkParams, pathloss_db
 from raftguard.geometry import DiskRegion, uniform_disk_points
 from raftguard.specfun import q_function, q_inverse
 
 __all__ = [
     "AuthProfile",
+    "count_accepted",
     "lq_db_to_sigma",
     "sample_fingerprints",
     "threshold_for_pfa",
@@ -34,9 +35,9 @@ __all__ = [
 ]
 
 # Prior support for an unknown intruder fingerprint: pathloss at 1 m and
-# at the deployment disk edge (500 m) under the default exponent 3.
+# at the default network's disk edge under its path-loss exponent.
 DEFAULT_PSI_MIN = 0.0
-DEFAULT_PSI_MAX = float(pathloss_db(500.0, 3.0))
+DEFAULT_PSI_MAX = float(pathloss_db(NetworkParams().disk.radius, NetworkParams().alpha))
 
 
 def lq_db_to_sigma(lq_db: float) -> float:
@@ -122,10 +123,12 @@ class AuthProfile:
         fingerprint ``index``, the statistic of the threshold test."""
         return np.abs(np.asarray(z, dtype=float) - self.ground_truth[index])
 
-    def accepts(self, z, index):
-        """Threshold test against fingerprint ``index``: accept (H0) iff
-        the deviation is below ``epsilon``; the boundary itself rejects."""
-        return self.deviation(z, index) < self.epsilon
+
+def count_accepted(deviation, epsilon):
+    """The threshold test: how many deviations each threshold in ``epsilon``
+    accepts (H0), those strictly below it, so the boundary rejects; one
+    sort, then the left insertion point of each threshold."""
+    return np.searchsorted(np.sort(deviation, axis=None), epsilon, side="left")
 
 
 def sample_fingerprints(
@@ -206,22 +209,21 @@ def _q_antiderivative(u: np.ndarray) -> np.ndarray:
     return u * q_function(u) - np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
 
 
-def _window_mass(profile: AuthProfile, epsilon) -> np.ndarray:
-    """Integral over the prior support of the summed acceptance
-    windows, one per threshold in ``epsilon``, taken in closed form
-    through the antiderivative of Q (an adaptive rule would step over
-    windows narrow relative to the support)."""
+def _window_mass(profile: AuthProfile, epsilon: float) -> float:
+    """Integral over the prior support of the summed acceptance windows
+    of threshold ``epsilon``, taken in closed form through the
+    antiderivative of Q (an adaptive rule would step over windows
+    narrow relative to the support)."""
     lo, hi = profile.psi_min, profile.psi_max
     sigma = profile.sigma
     g = profile.ground_truth
-    eps = np.asarray(epsilon, dtype=float)[..., None]
     a = _q_antiderivative(np.stack((
-        (g - eps - lo) / sigma,
-        (g - eps - hi) / sigma,
-        (g + eps - lo) / sigma,
-        (g + eps - hi) / sigma,
+        (g - epsilon - lo) / sigma,
+        (g - epsilon - hi) / sigma,
+        (g + epsilon - lo) / sigma,
+        (g + epsilon - hi) / sigma,
     )))
-    return (sigma * (a[0] - a[1] - a[2] + a[3])).sum(axis=-1)
+    return float((sigma * (a[0] - a[1] - a[2] + a[3])).sum())
 
 
 def p_md_expected(profile: AuthProfile) -> float:
@@ -260,7 +262,7 @@ def roc_curve(profile: AuthProfile, p_fa_grid) -> list[tuple[float, float, float
     window mass averaged over the m claimable identities as well as the
     uniform intruder fingerprint), which is the same acceptance model
     that makes the 2*Q false-alarm calibration exact.  Returns
-    (p_fa, epsilon, p_d) triples.
+    (p_fa, epsilon, p_d) triples, one target (one row of m) at a time.
     """
     grid = [float(p) for p in p_fa_grid]
     if not grid:
@@ -269,10 +271,9 @@ def roc_curve(profile: AuthProfile, p_fa_grid) -> list[tuple[float, float, float
         raise ValueError("false-alarm targets must lie in (0, 1)")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("false-alarm targets must be strictly increasing")
-    eps = [threshold_for_pfa(target, profile.sigma) for target in grid]
-    mass = _window_mass(profile, eps) / (profile.m * profile.delta)
     out = []
-    for target, e, w in zip(grid, eps, mass):
-        miss = _clip_probability(w, "roc missed-detection")
-        out.append((target, e, 1.0 - miss))
+    for target in grid:
+        eps = threshold_for_pfa(target, profile.sigma)
+        miss = _window_mass(profile, eps) / (profile.m * profile.delta)
+        out.append((target, eps, 1.0 - _clip_probability(miss, "roc missed-detection")))
     return out

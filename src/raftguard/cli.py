@@ -286,8 +286,8 @@ def columns_for(scenario: str) -> list[str]:
 _REQUIRED = object()  # the default of a key the config must give
 _DEFAULT_PARAMS = NetworkParams()
 _MAX_SWEEP_POINTS = 10_000
-# about 4.5 min for one coverage point at 3.7e6 trials/s; the shipped
-# configs use 1e5
+# about 3 min for one coverage point at 5e6-7e6 trials/s (default band,
+# 2 CPUs); the shipped configs use 1e5
 _MAX_TRIALS = 10**9
 # (intruder, fingerprint) pairs of one auth closed form, at about 58
 # bytes each in p_md_closed_form: 0.6 GB

@@ -41,7 +41,7 @@ QUAD_ABS_TOL = 1e-8
 # laplace_interference must agree to 1e-8 absolute on every
 # (alpha, beta_db, annulus, link distance) combination below.
 ORACLE_GRID_GAMMA = 0.01
-ORACLE_GRID_RHO_J = 15.0 / (math.pi * 500.0**2)
+ORACLE_GRID_RHO_J = NetworkParams().rho_j
 ORACLE_GRID = tuple(
     (alpha, beta_db, AnnulusRegion(z1, z1 + 50.0), r)
     for alpha in (2.5, 3.0, 4.0, 5.0, 8.0)

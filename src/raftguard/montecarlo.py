@@ -8,7 +8,7 @@ processes.  The coverage engines are Rao-Blackwellised: they draw only
 the geometry and average the exact Rayleigh-fading probability of
 success given it (``channel.rayleigh_coverage_blocks`` per direction,
 ``channel.two_way_coverage`` for both); the authentication
-engine tallies integer counts and reports their rates.
+engine reports the rates of integer counts from ``auth.count_accepted``.
 
 Each trial's jammers form a PPP of mean count lambda_j = rho_j * |annulus|.
 A chunk of n trials draws them as one field: a single Poisson(n *
@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import chndtr
 
-from raftguard.auth import AuthProfile
+from raftguard.auth import AuthProfile, count_accepted
 from raftguard.channel import NetworkParams, rayleigh_coverage_blocks, two_way_coverage
 from raftguard.geometry import annulus_radii, link_distances
 from raftguard.specfun import gauss_legendre, q_inverse
@@ -458,11 +458,11 @@ def simulate_auth(
         for k, s in enumerate(sig):
             z = truth + s * noise
             matched = profile.nearest(z)
-            n_accepted[k] += _accepted(profile.deviation(z, matched), eps)
+            n_accepted[k] += count_accepted(profile.deviation(z, matched), eps)
             if scenario == "legit":
                 n_wrong[k] += np.count_nonzero(matched != ident)
             else:
-                n_claimed_accepted[k] += _accepted(profile.deviation(z, claimed), eps)
+                n_claimed_accepted[k] += count_accepted(profile.deviation(z, claimed), eps)
 
     accepted = n_accepted.ravel().tolist()
     if scenario == "legit":
@@ -472,11 +472,3 @@ def simulate_auth(
         outcomes = [IntruderOutcome(n_trials, p_md=a / n_trials, p_md_claimed=c / n_trials)
                     for a, c in zip(accepted, n_claimed_accepted.ravel().tolist())]
     return outcomes[0] if epsilon is None and sigma is None else outcomes
-
-
-def _accepted(deviation: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """How many deviations each threshold accepts under the profile's
-    strict rule ``deviation < epsilon`` (``AuthProfile.accepts``): the
-    deviations are sorted once, and the left insertion point of a
-    threshold counts those strictly below it, so the boundary rejects."""
-    return np.searchsorted(np.sort(deviation), eps, side="left")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from raftguard.auth import (
     DEFAULT_PSI_MAX,
     AuthProfile,
+    count_accepted,
     lq_db_to_sigma,
     p_fa_closed_form,
     p_md_closed_form,
@@ -90,12 +92,26 @@ def test_zero_threshold_always_alarms():
 
 def test_decide_boundary_rejects():
     prof = AuthProfile(ground_truth=np.array([10.0]), sigma=1.0, epsilon=1.0)
-    assert not prof.accepts(11.0, 0)
-    assert prof.accepts(10.999999, 0)
-    assert prof.accepts(np.array([9.5, 9.0, 10.0]), np.zeros(3, dtype=int)).tolist() == [
-        True, False, True]
+    assert count_accepted(prof.deviation(11.0, 0), prof.epsilon) == 0
+    assert count_accepted(prof.deviation(10.999999, 0), prof.epsilon) == 1
+    dev = prof.deviation(np.array([9.5, 9.0, 10.0]), np.zeros(3, dtype=int))
+    assert [count_accepted(d, prof.epsilon) for d in dev] == [1, 0, 1]
+    # a threshold on a deviation rejects it, the next double up accepts it
+    assert count_accepted(dev, [1.0, np.nextafter(1.0, np.inf)]).tolist() == [2, 3]
     zero = AuthProfile(ground_truth=np.array([10.0]), sigma=1.0, epsilon=0.0)
-    assert not zero.accepts(10.0, 0)
+    assert count_accepted(zero.deviation(10.0, 0), zero.epsilon) == 0
+
+
+def test_count_accepted_counts_the_deviations_below_each_threshold():
+    rng = np.random.default_rng(11)
+    for size in (1, 7, 1000):
+        dev = np.abs(rng.normal(0.0, 2.0, size))
+        # thresholds on deviations, between them, and on either side;
+        # epsilon = 0 rejects every deviation
+        eps = np.concatenate(([0.0, 10.0 * dev.max()], rng.choice(dev, 5), 3.0 * rng.random(5)))
+        got = count_accepted(dev, eps)
+        assert got.tolist() == [np.count_nonzero(dev < e) for e in eps]
+        assert got[0] == 0
 
 
 def test_ml_identify_prefers_lowest_index_on_ties():
@@ -112,7 +128,7 @@ def test_ml_identify_finds_nearest():
     for i, val in enumerate(g):
         assert prof.nearest(float(val) + 0.01) == i
     assert prof.nearest(g + 0.01).tolist() == list(range(g.size))
-    assert prof.accepts(g + 0.01, np.arange(g.size)).all()
+    assert count_accepted(prof.deviation(g + 0.01, np.arange(g.size)), prof.epsilon) == g.size
 
 
 def _argmin_nearest(gt, z):
@@ -275,6 +291,23 @@ def test_roc_headline_regression():
     assert roc_curve(prof, [0.1])[0][2] == pytest.approx(0.9871519286483383, abs=1e-9)
 
 
+def test_roc_holds_one_row_of_fingerprints():
+    # the 49 shipped false-alarm targets at m = 1e5: one threshold at a
+    # time holds a few m-sized rows, not a (targets x m) array (598 MiB)
+    gt, _ = sample_fingerprints(100_000, 0, DiskRegion(500.0), 3.0,
+                                np.random.default_rng(PROFILE_SEED))
+    prof = AuthProfile(ground_truth=gt, sigma=lq_db_to_sigma(10.0), epsilon=1.0)
+    grid = [0.02 * k for k in range(1, 50)]
+    tracemalloc.start()
+    try:
+        pts = roc_curve(prof, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pts) == 49
+    assert peak < 32 * 2**20
+
+
 def test_roc_grid_validation():
     prof = shipped_profile(10.0)
     with pytest.raises(ValueError):
@@ -390,6 +423,7 @@ def test_false_alarm_rate_matches_closed_form():
 def test_acceptance_is_the_deviation_below_the_threshold():
     prof = AuthProfile(ground_truth=np.array([10.0, 20.0]), sigma=1.0, epsilon=1.5)
     z, index = np.array([9.0, 21.5, 18.0, 10.0]), np.array([0, 1, 1, 0])
-    assert prof.deviation(z, index).tolist() == [1.0, 1.5, 2.0, 0.0]
-    assert prof.accepts(z, index).tolist() == (prof.deviation(z, index) < 1.5).tolist()
-    assert prof.accepts(z, index).tolist() == [True, False, False, True]
+    dev = prof.deviation(z, index)
+    assert dev.tolist() == [1.0, 1.5, 2.0, 0.0]
+    assert count_accepted(dev, prof.epsilon) == np.count_nonzero(dev < 1.5)
+    assert [count_accepted(d, prof.epsilon) for d in dev] == [1, 0, 0, 1]

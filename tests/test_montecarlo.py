@@ -15,7 +15,9 @@ from scipy.special import chndtr
 from scipy.stats import norm, poisson
 
 from raftguard import montecarlo
-from raftguard.auth import AuthProfile, lq_db_to_sigma, sample_fingerprints, threshold_for_pfa
+from raftguard.auth import (
+    AuthProfile, count_accepted, lq_db_to_sigma, sample_fingerprints, threshold_for_pfa,
+)
 from raftguard.channel import NetworkParams, rayleigh_coverage
 from raftguard.coverage import coverage_joint
 from raftguard.geometry import AnnulusRegion, DiskRegion, annulus_radii, link_distances
@@ -590,10 +592,10 @@ def test_auth_tally_rejects_the_boundary():
     # one fingerprint and noise too small to move a measurement: every
     # legitimate deviation is 0 and every intruder's |50 - 40| = 10, so a
     # threshold equal to the deviation rejects every trial, as
-    # AuthProfile.accepts does, and the next double up accepts them all
+    # count_accepted does, and the next double up accepts them all
     prof = AuthProfile(ground_truth=np.array([40.0]), sigma=1e-300, epsilon=1.0)
-    assert not replace(prof, epsilon=0.0).accepts(40.0, 0)
-    assert not replace(prof, epsilon=10.0).accepts(50.0, 0)
+    assert count_accepted(prof.deviation(40.0, 0), 0.0) == 0
+    assert count_accepted(prof.deviation(50.0, 0), 10.0) == 0
     legit = simulate_auth(prof, "legit", 500, 1, epsilon=[0.0, 5e-324])
     assert [r.p_fa for r in legit] == [1.0, 0.0]
     eve = simulate_auth(prof, "eve", 500, 2, eve_pathlosses=[50.0],
