@@ -7,6 +7,7 @@ is interference limited, so thermal noise is not modeled.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -116,7 +117,7 @@ def rayleigh_coverage(link, jammers, owner, beta_gamma, alpha: float) -> np.ndar
     return next(rayleigh_coverage_blocks(link, jammers, owner, (beta_gamma,), alpha))
 
 
-def rayleigh_coverage_blocks(link, jammers, owner, blocks, alpha: float):
+def rayleigh_coverage_blocks(link, jammers, owner, blocks, alpha: float, runs=None):
     """``rayleigh_coverage`` at each block of thresholds in ``blocks`` in
     turn, from one gather of x_j: yields one array of shape ``(len(block),
     len(link))`` per block, each row bitwise the one ``rayleigh_coverage``
@@ -124,6 +125,13 @@ def rayleigh_coverage_blocks(link, jammers, owner, blocks, alpha: float):
     and the jammer-sized buffers go when the generator is exhausted or
     dropped.  The generator lets go of ``link`` and ``jammers`` once x_j
     is gathered, so arrays the caller no longer holds are freed then.
+
+    ``runs``, one slice per block, names the run of jammers each block
+    covers; block k then sees only ``jammers[runs[k]]``, bitwise as if
+    they were the whole field, and an empty run covers every row with
+    probability exactly 1.  Blocks that name runs share one set of
+    thresholds, whose terms are taken once over the whole field.
+    Without ``runs`` every block covers every jammer.
     """
     owner = np.asarray(owner, dtype=np.intp)
     gain = _gains(jammers, alpha)
@@ -135,13 +143,27 @@ def rayleigh_coverage_blocks(link, jammers, owner, blocks, alpha: float):
     x *= gain
     rows = len(link)
     del link, jammers
-    for beta_gamma in blocks:
+    kept = None
+    if runs is not None:
+        shared = tuple(blocks[0])
+        if any(tuple(beta_gamma) != shared for beta_gamma in blocks):
+            raise ValueError("blocks that name runs must share their thresholds")
+        # one buffer per shared threshold, the last one x's own, so that x
+        # is read whole before it is overwritten
+        buffers = [gain, *(np.empty_like(x) for _ in shared[2:]), x][-len(shared):]
+        kept = [_log_terms(x, c, out) for c, out in zip(shared, buffers)]
+    for beta_gamma, run in zip(blocks, itertools.repeat(slice(None)) if runs is None else runs):
         log_miss = np.empty((len(beta_gamma), rows))
         for b, c in enumerate(beta_gamma):
-            np.multiply(x, c, out=gain)
-            np.log1p(gain, out=gain)
-            log_miss[b] = np.bincount(owner, weights=gain, minlength=rows)
+            terms = _log_terms(x, c, gain) if kept is None else kept[b]
+            log_miss[b] = np.bincount(owner[run], weights=terms[run], minlength=rows)
         yield np.exp(np.negative(log_miss, out=log_miss), out=log_miss)
+
+
+def _log_terms(x, c: float, out: np.ndarray) -> np.ndarray:
+    """log1p(x_j c) per jammer, written into ``out``."""
+    np.multiply(x, c, out=out)
+    return np.log1p(out, out=out)
 
 
 def two_way_coverage(nodes, rows: int, jammers, owner, c_dl: float, c_ul: float,

@@ -2,11 +2,12 @@
 columns side by side.
 
 Every scenario sweeps one variable, evaluates each point analytically
-and by simulation, and writes one row per point in sweep order.  A
-coupled sweep draws one Monte Carlo sample for all of its points; any
-other sweep's points are evaluated concurrently, each seeded from the
-master seed and its position.  Output files are byte-identical for a
-given config and seed no matter how many workers run.
+and by simulation, and writes one row per point in sweep order.  Every
+sweep is coupled: it draws one Monte Carlo sample for all of its points,
+seeded from the master seed and point 0, and evaluates it at each point
+(common random numbers).  The sweep runs in process; output files are
+byte-identical for a given config and seed, whatever
+``RAFTGUARD_WORKERS`` says.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterator
@@ -36,7 +36,7 @@ from raftguard.auth import (
 from raftguard.channel import NetworkParams, pathloss_db
 from raftguard.coverage import coverage_joint
 from raftguard.geometry import AnnulusRegion, DiskRegion
-from raftguard.montecarlo import TrialConfig, _workers, estimate_coverage, simulate_auth
+from raftguard.montecarlo import TrialConfig, estimate_coverage, simulate_auth
 
 __all__ = [
     "ExperimentConfig", "SweepSpec", "AuthSettings", "ConfigError", "PointFailure", "main",
@@ -141,15 +141,13 @@ def _beta_point(p: NetworkParams, value: float) -> NetworkParams:
     return replace(p, beta_dl_db=value, beta_ul_db=value)
 
 
-def _jam_area_point(p: NetworkParams, value: float) -> NetworkParams:
-    if value <= p.annulus.inner:
-        # the jamming band is empty at this sweep point
-        return replace(p, rho_j=0.0)
-    return replace(p, annulus=AnnulusRegion(p.annulus.inner, value))
+def _jam_area_band(p: NetworkParams, value: float) -> tuple[float, float]:
+    # empty where the outer radius does not pass the inner one
+    return p.annulus.inner, max(value, p.annulus.inner)
 
 
-def _jam_distance_point(p: NetworkParams, value: float) -> NetworkParams:
-    return replace(p, annulus=AnnulusRegion(value, value + 50.0))
+def _jam_distance_band(p: NetworkParams, value: float) -> tuple[float, float]:
+    return value, value + 50.0
 
 
 def _coverage_row(var: str, value: float, ana, mc) -> dict:
@@ -170,7 +168,7 @@ def _coverage_row(var: str, value: float, ana, mc) -> dict:
 
 def _beta_rows(config: ExperimentConfig, points: list[tuple[int, float]]):
     # the geometry does not depend on the threshold: one sample, seeded
-    # by the batch's first point, evaluated at every threshold
+    # by the first point, evaluated at every threshold
     mcs = estimate_coverage(TrialConfig(config.params, config.n_trials,
                                         _derive_seed(config.master_seed, points[0][0])),
                             beta_db=[value for _, value in points])
@@ -179,19 +177,24 @@ def _beta_rows(config: ExperimentConfig, points: list[tuple[int, float]]):
         yield _coverage_row(config.sweep.variable, value, ana, mc)
 
 
-def _band_rows(point_at: Callable[[NetworkParams, float], NetworkParams],
+def _band_rows(band_at: Callable[[NetworkParams, float], tuple[float, float]],
                config: ExperimentConfig, points: list[tuple[int, float]]):
-    for index, value in points:
-        point = point_at(config.params, value)
-        ana = coverage_joint(point)
-        mc = estimate_coverage(TrialConfig(point, config.n_trials,
-                                           _derive_seed(config.master_seed, index)))
-        yield _coverage_row(config.sweep.variable, value, ana, mc)
+    # one jammer field on the hull of the bands, seeded by the first
+    # point; each band reads its own run of the field
+    p = config.params
+    bands = [band_at(p, value) for _, value in points]
+    mcs = estimate_coverage(TrialConfig(p, config.n_trials,
+                                        _derive_seed(config.master_seed, points[0][0])),
+                            bands=bands)
+    for (_, value), (z1, z2), mc in zip(points, bands, mcs):
+        # the closed form reads an empty band as no jammer
+        point = replace(p, annulus=AnnulusRegion(z1, z2)) if z1 < z2 else replace(p, rho_j=0.0)
+        yield _coverage_row(config.sweep.variable, value, coverage_joint(point), mc)
 
 
 def _auth_rows(config: ExperimentConfig, points: list[tuple[int, float]]):
     # the identities, intruder draws and claims do not depend on the noise
-    # level: one sample, seeded by the batch's first point, its standard
+    # level: one sample, seeded by the first point, its standard
     # normal noise scaled to every point's sigma
     eps = config.auth.epsilon_db
     sigmas = [lq_db_to_sigma(value) for _, value in points]
@@ -218,7 +221,7 @@ def _auth_rows(config: ExperimentConfig, points: list[tuple[int, float]]):
 
 def _roc_rows(config: ExperimentConfig, points: list[tuple[int, float]]):
     # the intruder draw does not depend on the threshold: one sample,
-    # seeded by the batch's first point, tallied at every threshold that
+    # seeded by the first point, tallied at every threshold that
     # roc_curve calibrates; neither reads the profile's own threshold
     sigma = lq_db_to_sigma(config.auth.lq_db)
     profile, _ = _profile(config, 0, sigma, config.auth.epsilon_db)
@@ -245,34 +248,30 @@ def _radius_sweep(sweep: SweepSpec) -> str | None:
 @dataclass(frozen=True)
 class Scenario:
     """One sweep scenario: the variable it sweeps, its output columns,
-    the generator of the rows of a batch of (index, value) points, in
-    order, whether the whole sweep is one batch drawn as one sample (a
-    coupled sweep) rather than one batch per point, the ``auth`` keys
-    whose product counts the (intruder, fingerprint) pairs its closed
-    form holds (none for a scenario without an ``auth`` block), and the
-    sweep-domain check.  A batch's Monte Carlo draws are seeded by its
-    first point."""
+    the generator of the rows of the sweep's (index, value) points, in
+    order, drawn as one Monte Carlo sample seeded by the first point,
+    the ``auth`` keys whose product counts the (intruder,
+    fingerprint) pairs its closed form holds (none for a scenario
+    without an ``auth`` block), and the sweep-domain check."""
 
     variable: str
     columns: list[str]
     rows: Callable[[ExperimentConfig, list[tuple[int, float]]], Iterator[dict]]
-    coupled: bool = False
     pairs: tuple[str, ...] = ()
     domain_error: Callable[[SweepSpec], str | None] = lambda sweep: None
 
 
 SCENARIOS = {
-    "coverage_vs_beta": Scenario("beta_db", COVERAGE_COLUMNS, _beta_rows, coupled=True),
-    "coverage_vs_jam_area": Scenario("z2", COVERAGE_COLUMNS, partial(_band_rows, _jam_area_point),
+    "coverage_vs_beta": Scenario("beta_db", COVERAGE_COLUMNS, _beta_rows),
+    "coverage_vs_jam_area": Scenario("z2", COVERAGE_COLUMNS, partial(_band_rows, _jam_area_band),
                                      domain_error=_radius_sweep),
     "coverage_vs_jam_distance": Scenario("z1", COVERAGE_COLUMNS,
-                                         partial(_band_rows, _jam_distance_point),
+                                         partial(_band_rows, _jam_distance_band),
                                          domain_error=_radius_sweep),
-    "auth_errors_vs_lq": Scenario("lq_db", AUTH_COLUMNS, _auth_rows, coupled=True,
-                                  pairs=("m", "n_eves")),
+    "auth_errors_vs_lq": Scenario("lq_db", AUTH_COLUMNS, _auth_rows, pairs=("m", "n_eves")),
     # roc's one intruder is uniform over the prior support and meets each
     # fingerprint once; it draws no intruder fingerprints
-    "roc": Scenario("p_fa", ROC_COLUMNS, _roc_rows, coupled=True, pairs=("m",),
+    "roc": Scenario("p_fa", ROC_COLUMNS, _roc_rows, pairs=("m",),
                     domain_error=_probability_sweep),
 }
 
@@ -286,8 +285,9 @@ def columns_for(scenario: str) -> list[str]:
 _REQUIRED = object()  # the default of a key the config must give
 _DEFAULT_PARAMS = NetworkParams()
 _MAX_SWEEP_POINTS = 10_000
-# about 3 min for one coverage point at 5e6-7e6 trials/s (default band,
-# 2 CPUs); the shipped configs use 1e5
+# a sweep draws its trials once: a shipped 16-point band sweep took
+# 0.5-0.6 s per 1e6 trials on one CPU, so about 10 min at this cap; the
+# shipped configs use 1e5
 _MAX_TRIALS = 10**9
 # (intruder, fingerprint) pairs of one auth closed form, at about 58
 # bytes each in p_md_closed_form: 0.6 GB
@@ -507,10 +507,11 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
 # ------------------------------------------------------------- evaluation
 
 
-def _evaluate_batch(config: ExperimentConfig, points: list[tuple[int, float]]) -> list[dict]:
-    """The rows of a batch of points.  A numeric failure names the point
-    whose row was being made: the first point, for a failure in the draws
-    a coupled batch shares."""
+def evaluate(config: ExperimentConfig) -> list[dict]:
+    """All sweep rows, in sweep order, from one sample for every point.  A
+    numeric failure names the point whose row was being made: point 0,
+    for a failure in the draws the points share."""
+    points = list(enumerate(config.sweep.values()))
     rows = []
     try:
         for row in SCENARIOS[config.scenario].rows(config, points):
@@ -519,23 +520,6 @@ def _evaluate_batch(config: ExperimentConfig, points: list[tuple[int, float]]) -
         index, value = points[len(rows)]
         raise PointFailure(index, value, f"{type(exc).__name__}: {exc}") from exc
     return rows
-
-
-def evaluate(config: ExperimentConfig) -> list[dict]:
-    """All sweep rows, in sweep order regardless of worker scheduling.  A
-    coupled sweep is one batch, so it runs in process; any other sweep
-    is one batch per point."""
-    points = list(enumerate(config.sweep.values()))
-    batches = [points] if SCENARIOS[config.scenario].coupled else [[point] for point in points]
-    try:
-        workers = _workers(len(batches))
-    except ValueError as exc:
-        raise ConfigError([str(exc)]) from None
-    run = partial(_evaluate_batch, config)
-    if workers == 1:
-        return [row for rows in map(run, batches) for row in rows]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [row for rows in pool.map(run, batches) for row in rows]
 
 
 # ----------------------------------------------------------------- output
@@ -610,8 +594,6 @@ def main(argv=None) -> int:
 
     try:
         rows = evaluate(config)
-    except ConfigError as exc:
-        return _report_config_error(exc)
     except PointFailure as exc:
         print(f"numeric failure in scenario {config.scenario} at point {exc.index} "
               f"({config.sweep.variable} = {exc.value!r}, master seed {config.master_seed}): "

@@ -16,7 +16,11 @@ lambda_j) total, a uniformly drawn owning trial for each jammer, then
 the jammers' annulus radii.  By the superposition (splitting) property
 of the PPP the per-trial counts are then i.i.d. Poisson(lambda_j), the
 same law as one draw per trial (Haenggi, Stochastic Geometry for
-Wireless Networks, 2012).
+Wireless Networks, 2012).  A band sweep draws this field once on the
+hull of its bands and sorts the radii in place.  The owners are i.i.d.
+uniform and independent of the radii, so pairing the sorted radii with
+the owners as drawn keeps the field's law, and each band is then one
+contiguous run of the field: by restriction, a PPP on that band.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from scipy.special import chndtr
 
 from raftguard.auth import AuthProfile, count_accepted
 from raftguard.channel import NetworkParams, rayleigh_coverage_blocks, two_way_coverage
-from raftguard.geometry import annulus_radii, link_distances
+from raftguard.geometry import AnnulusRegion, annulus_radii, link_distances
 from raftguard.specfun import gauss_legendre, q_inverse
 
 __all__ = [
@@ -248,8 +252,8 @@ class CoverageEstimate:
         return self.p_dl * self.p_ul
 
 
-def estimate_coverage(config: TrialConfig,
-                      beta_db=None) -> CoverageEstimate | list[CoverageEstimate]:
+def estimate_coverage(config: TrialConfig, beta_db=None,
+                      bands=None) -> CoverageEstimate | list[CoverageEstimate]:
     """Downlink/uplink coverage of the typical follower, averaged over
     simulated geometry.
 
@@ -269,29 +273,55 @@ def estimate_coverage(config: TrialConfig,
     bitwise the one-threshold run on the params with both thresholds at
     ``beta_db[k]``, and each trial's coverage cannot rise with the
     threshold, so neither can the estimates.
+
+    ``bands``, a sequence of jamming bands (z1, z2) with 0 <= z1 <= z2,
+    replaces the params' annulus and turns the run into a band sweep:
+    each chunk draws one field on the hull [min z1, max z2] and sorts
+    its radii, and band k reads the run of radii in [z1, z2), by
+    restriction a PPP on that band (common random numbers).  Its law is
+    that of the one-band run; an empty band gives exactly 1, and a band
+    nested in another cannot cover a trial less.  At most one of
+    ``beta_db`` and ``bands`` may be a sweep.
     """
     p = config.params
+    if beta_db is not None and bands is not None:
+        raise ValueError("sweep beta_db or bands, not both")
     points = [p] if beta_db is None else [replace(p, beta_dl_db=b, beta_ul_db=b) for b in beta_db]
+    if bands is not None:
+        bands = np.array(bands, dtype=float)
+        # NaN fails every comparison; a finite z2 bounds z1
+        if not (bands.ndim == 2 and bands.shape[1] == 2 and bands.size and np.all(
+                (0.0 <= bands[:, 0]) & (bands[:, 0] <= bands[:, 1]) & np.isfinite(bands[:, 1]))):
+            raise ValueError("bands must be a non-empty sequence of (z1, z2), 0 <= z1 <= z2")
+        lo, hi = bands[:, 0].min(), bands[:, 1].max()
+        # a hull of no area holds no jammer
+        p = replace(p, annulus=AnnulusRegion(lo, hi)) if lo < hi else replace(p, rho_j=0.0)
+        points = [p] * len(bands)
     if not points:
         raise ValueError("beta_db must hold at least one threshold")
     blocks = [(q.beta_dl * q.gamma_dl, q.beta_ul * q.gamma_ul) for q in points]
     means = [_TrialMean() for _ in blocks]
     for size, rng in _chunks(config.n_trials, config.master_seed):
-        # one (2, size) dl/ul block per threshold, each fed to its own
-        # mean, so the chunk never holds every threshold's rows at once
-        for both, block in zip(means, _coverage_blocks(p, blocks, size, rng)):
+        # one (2, size) dl/ul block per point, each fed to its own mean,
+        # so the chunk never holds every point's rows at once
+        for both, block in zip(means, _coverage_blocks(p, blocks, size, rng, bands)):
             both.add(block)
     estimates = [_coverage_estimate(config.n_trials, both) for both in means]
-    return estimates[0] if beta_db is None else estimates
+    return estimates[0] if beta_db is None and bands is None else estimates
 
 
-def _coverage_blocks(p: NetworkParams, blocks, size: int, rng: np.random.Generator):
+def _coverage_blocks(p: NetworkParams, blocks, size: int, rng: np.random.Generator, bands=None):
     """One chunk's coverage blocks: its jammers and link distances are
     drawn once and held only by the returned generator, so they are gone
-    before the next chunk draws."""
+    before the next chunk draws.  With ``bands``, the radii are sorted in
+    place, the owners left as drawn, and block k covers band k's run."""
     owner, d_jam = _jammers(p, size, rng)
     r = link_distances(p.rho_t, size, rng)
-    return rayleigh_coverage_blocks(r, d_jam, owner, blocks, p.alpha)
+    runs = None
+    if bands is not None:
+        d_jam.sort()
+        runs = map(slice, *np.searchsorted(d_jam, bands.T).tolist())
+    return rayleigh_coverage_blocks(r, d_jam, owner, blocks, p.alpha, runs)
 
 
 def _coverage_estimate(n_trials: int, both: _TrialMean) -> CoverageEstimate:

@@ -189,6 +189,37 @@ def test_rayleigh_coverage_blocks_are_the_kernel_per_block():
     assert peak < 2.5 * d_jam.nbytes + 16 * 2 * link.nbytes
 
 
+@pytest.mark.parametrize("block", [(1e-3, 1e-2), (1e-1,), (1e-3, 1e-2, 0.3)])
+def test_rayleigh_coverage_blocks_cover_their_runs(block):
+    # a block that names a run of jammers is bitwise the kernel on that
+    # run alone; an empty run covers every row with probability exactly 1
+    rng = np.random.default_rng(7)
+    d_jam = np.sort(300.0 * np.sqrt(rng.random(5000)))
+    owner = rng.integers(0, 512, d_jam.size)
+    link = 30.0 + 470.0 * rng.random(512)
+    runs = [slice(0, 5000), slice(1200, 3100), slice(2000, 2000), slice(4000, 5000)]
+    tracemalloc.start()
+    try:
+        got = [rows.copy() for rows in rayleigh_coverage_blocks(link, d_jam, owner, [block] * 4,
+                                                                3.0, runs)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the gains and x, whose buffers hold the terms of up to two thresholds
+    extra = max(len(block) - 2, 0)
+    assert peak < (2.5 + extra) * d_jam.nbytes + 4 * len(block) * link.nbytes
+    for run, rows in zip(runs, got):
+        want = rayleigh_coverage(link, d_jam[run], owner[run], block, 3.0)
+        assert rows.tobytes() == want.tobytes(), run
+    assert np.all(got[2] == 1.0)
+
+
+def test_blocks_that_name_runs_share_their_thresholds():
+    with pytest.raises(ValueError, match="share their thresholds"):
+        list(rayleigh_coverage_blocks([10.0], [20.0, 30.0], [0, 0], [(0.1, 1.0), (0.1, 2.0)],
+                                      3.0, [slice(0, 1), slice(1, 2)]))
+
+
 def random_field(rng, rows, per_row):
     """Jammers of a random field over ``rows`` rows: about ``per_row``
     each, uniform on an annulus [5, 300] m, in no particular order."""

@@ -4,16 +4,10 @@ from dataclasses import replace
 
 import pytest
 
-from raftguard import cli, montecarlo
+from raftguard import cli
 
 RHO = 1.9098593171027442e-05
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
-
-
-@pytest.fixture(autouse=True)
-def serial_workers(monkeypatch):
-    # keep unit runs in-process; the dedicated test below exercises the pool
-    monkeypatch.setenv("RAFTGUARD_WORKERS", "1")
 
 
 def base_config(tmp_path, **overrides):
@@ -539,6 +533,7 @@ def test_numeric_failure_exits_three(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("scenario, engine, where", [
     ("coverage_vs_beta", "estimate_coverage", "at point 0 (beta_db = -30.0, master seed 7)"),
+    ("coverage_vs_jam_distance", "estimate_coverage", "at point 0 (z1 = 0.0, master seed 7)"),
     ("roc", "simulate_auth", "at point 0 (p_fa = 0.05, master seed 7)"),
 ])
 def test_failing_shared_draw_names_the_first_point(tmp_path, capsys, monkeypatch,
@@ -550,6 +545,8 @@ def test_failing_shared_draw_names_the_first_point(tmp_path, capsys, monkeypatch
 
     monkeypatch.setattr(cli, engine, boom)
     cfg = base_config(tmp_path, scenario=scenario)
+    if scenario == "coverage_vs_jam_distance":
+        cfg["sweep"] = {"variable": "z1", "start": 0.0, "stop": 100.0, "step": 50.0}
     if scenario == "roc":
         cfg["sweep"] = {"variable": "p_fa", "start": 0.05, "stop": 0.15, "step": 0.05}
         cfg["auth"] = {"m": 5, "profile_seed": 28294}
@@ -569,55 +566,6 @@ def test_programming_error_is_not_a_numeric_failure(tmp_path, capsys, monkeypatc
     with pytest.raises(TypeError, match="synthetic bug"):
         cli.main(["--config", path])
     assert "numeric failure" not in capsys.readouterr().err
-
-
-def test_worker_count_is_clamped(monkeypatch):
-    # the CLI sizes its pool by montecarlo's rule, whose CPU count is _threads
-    monkeypatch.setattr(montecarlo, "_threads", lambda: 8)
-    monkeypatch.setenv("RAFTGUARD_WORKERS", "100000")
-    assert cli._workers(16) == 8
-    assert cli._workers(3) == 3
-    monkeypatch.setenv("RAFTGUARD_WORKERS", "0")
-    assert cli._workers(16) == 1
-    monkeypatch.delenv("RAFTGUARD_WORKERS")
-    assert cli._workers(16) == 4
-
-
-def no_pool(*args, **kwargs):
-    raise AssertionError("a process pool was started")
-
-
-def test_pool_is_one_process_on_one_usable_cpu(tmp_path, monkeypatch):
-    # pinned to one CPU with the variable unset, the points run in process
-    monkeypatch.setattr(montecarlo, "_threads", lambda: 1)
-    monkeypatch.delenv("RAFTGUARD_WORKERS")
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
-    cfg = base_config(tmp_path, scenario="coverage_vs_jam_area", n_trials=200)
-    cfg["sweep"] = {"variable": "z2", "start": 0.0, "stop": 300.0, "step": 100.0}
-    assert len(cli.evaluate(cli.build_config(cfg, ""))) == 4
-
-
-def test_coupled_sweep_starts_no_process_pool(tmp_path, monkeypatch):
-    # one batch for the whole sweep, so one worker on any number of CPUs
-    monkeypatch.setattr(montecarlo, "_threads", lambda: 4)
-    monkeypatch.setenv("RAFTGUARD_WORKERS", "4")
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
-    assert len(cli.evaluate(cli.build_config(base_config(tmp_path, n_trials=200), ""))) == 4
-    cfg = base_config(tmp_path, scenario="roc", n_trials=200)
-    cfg["sweep"] = {"variable": "p_fa", "start": 0.05, "stop": 0.15, "step": 0.05}
-    cfg["auth"] = {"m": 5, "profile_seed": 28294}
-    assert len(cli.evaluate(cli.build_config(cfg, ""))) == 3
-
-
-def test_malformed_worker_count_is_a_config_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("RAFTGUARD_WORKERS", "abc")
-    with pytest.raises(cli.ConfigError, match="RAFTGUARD_WORKERS: expected an integer, got 'abc'"):
-        cli.evaluate(cli.build_config(base_config(tmp_path), ""))
-    path = write_config(tmp_path, base_config(tmp_path))
-    assert cli.main(["--config", path]) == 2
-    err = capsys.readouterr().err
-    assert err == "config error: RAFTGUARD_WORKERS: expected an integer, got 'abc'\n"
-    assert not (tmp_path / "out.csv").exists()
 
 
 def test_shipped_configs_validate():

@@ -1,12 +1,12 @@
-"""The coupled sweeps: ``roc``, both ``coverage_vs_beta`` configs and
-``auth_errors_vs_lq`` draw one Monte Carlo sample for the whole sweep,
-seeded by point 0, and evaluate it at every threshold or noise level
-(common random numbers).
+"""The coupled sweeps: every scenario draws one Monte Carlo sample for
+the whole sweep, seeded by point 0, and evaluates it at every threshold,
+noise level or jamming band (common random numbers).
 
 Each trial's outcome is then monotone in the swept variable where the
 closed form is, so those simulated columns are monotone by
-construction; and each point is bitwise the one-point engine call at
-its threshold or noise level with the shared seed.
+construction.  Each threshold or noise point is bitwise the one-point
+engine call at its threshold or noise level with the shared seed, and
+each band point the engine's call on that band and the sweep's hull.
 """
 
 import pathlib
@@ -15,28 +15,35 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from raftguard import cli
+from raftguard import cli, montecarlo
 from raftguard.auth import AuthProfile, lq_db_to_sigma, threshold_for_pfa
 from raftguard.montecarlo import CHUNK_SIZE, TrialConfig, estimate_coverage, simulate_auth
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
-COUPLED = ["auth_errors_vs_lq", "coverage_vs_beta", "coverage_vs_beta__dense_jammers", "roc"]
-
-
-@pytest.fixture(autouse=True)
-def serial_workers(monkeypatch):
-    monkeypatch.setenv("RAFTGUARD_WORKERS", "1")
+COUPLED = ["auth_errors_vs_lq", "coverage_vs_beta", "coverage_vs_beta__dense_jammers",
+           "coverage_vs_jam_area", "roc"]
+# the engine calls of one sweep: one per coverage sweep, one per
+# population (enrolled, intruders) for the auth sweeps
+ENGINE_CALLS = {"auth_errors_vs_lq": ("simulate_auth", 2), "roc": ("simulate_auth", 1)}
 
 
 def shipped(name, n_trials):
     return cli.load_config(str(CONFIGS / f"{name}.json"), {"n_trials": n_trials})
 
 
-def test_the_coupled_scenarios_are_the_threshold_and_noise_sweeps():
-    coupled = {name for name in COUPLED if cli.SCENARIOS[shipped(name, 1).scenario].coupled}
-    assert coupled == set(COUPLED)
-    assert [s for s, spec in cli.SCENARIOS.items() if spec.coupled] == [
-        "coverage_vs_beta", "auth_errors_vs_lq", "roc"]
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
+def test_evaluate_makes_one_engine_call_per_sweep(name, monkeypatch):
+    config = shipped(name, 200)
+    engine, want = ENGINE_CALLS.get(config.scenario, ("estimate_coverage", 1))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(engine)
+        return getattr(montecarlo, engine)(*args, **kwargs)
+
+    monkeypatch.setattr(cli, engine, counted)
+    assert len(cli.evaluate(config)) == config.sweep.count()
+    assert len(calls) == want
 
 
 @pytest.mark.parametrize("n_trials", [2000, 100_000])
@@ -57,7 +64,9 @@ def test_coupled_columns_are_monotone(name, n_trials):
         assert len(p_mc) == 16
         assert all(b <= a for a, b in zip(p_mc, p_mc[1:])), p_mc
     else:
-        # 15 steps up the SIR threshold: no coverage column rises
+        # 15 steps up the SIR threshold, or out to a wider band around
+        # the same inner radius, each band's run of the field extending
+        # the last: no coverage column rises
         assert len(rows) == 16
         for col in ("p_dl_mc", "p_ul_mc", "p_joint_mc"):
             p = [r[col] for r in rows]
@@ -86,9 +95,15 @@ def test_each_coupled_point_is_the_one_threshold_call(name):
             profile, _ = cli._profile(config, 0, sigma, threshold_for_pfa(value, sigma))
             one = simulate_auth(profile, "eve", config.n_trials, seed)
             want = {"p_d_mc": 1.0 - one.p_md_claimed}
+        elif config.scenario == "coverage_vs_jam_area":
+            # the one-band call on the sweep's hull [0, 300] m
+            bands = [(0.0, 300.0), cli._jam_area_band(config.params, value)]
+            one = estimate_coverage(TrialConfig(config.params, config.n_trials, seed),
+                                    bands=bands)[1]
         else:
             point = replace(config.params, beta_dl_db=value, beta_ul_db=value)
             one = estimate_coverage(TrialConfig(point, config.n_trials, seed))
+        if cli.columns_for(config.scenario) == cli.COVERAGE_COLUMNS:
             want = {"p_dl_mc": one.p_dl, "p_ul_mc": one.p_ul, "p_joint_mc": one.p_joint,
                     "ci_halfwidth": max(one.ci_dl, one.ci_ul, one.ci_joint)}
         assert {k: row[k].hex() for k in want} == {k: v.hex() for k, v in want.items()}, value

@@ -157,6 +157,18 @@ def test_consensus_threads_follow_the_worker_variable(monkeypatch):
         float.hex(x) for x in (three.p_consensus, three.ci_halfwidth, three.mean_successes)]
 
 
+def test_worker_count_is_clamped(monkeypatch):
+    # the one pool-size rule, whose CPU count is _threads
+    monkeypatch.setattr(montecarlo, "_threads", lambda: 8)
+    monkeypatch.setenv("RAFTGUARD_WORKERS", "100000")
+    assert montecarlo._workers(16) == 8
+    assert montecarlo._workers(3) == 3
+    monkeypatch.setenv("RAFTGUARD_WORKERS", "0")
+    assert montecarlo._workers(16) == 1
+    monkeypatch.delenv("RAFTGUARD_WORKERS")
+    assert montecarlo._workers(16) == 4
+
+
 def test_malformed_worker_variable_stops_the_consensus_engine(monkeypatch):
     monkeypatch.setenv("RAFTGUARD_WORKERS", "two")
     with pytest.raises(ValueError, match="RAFTGUARD_WORKERS: expected an integer, got 'two'"):
@@ -607,3 +619,86 @@ def test_auth_tally_rejects_the_boundary():
 def test_auth_threshold_sweep_needs_finite_thresholds(bad):
     with pytest.raises(ValueError):
         simulate_auth(profile(), "eve", 100, 0, epsilon=bad)
+
+
+# ----------------------------------------------------------- band sweeps
+
+NESTED = [(0.0, z2) for z2 in range(0, 320, 20)]
+SLIDING = [(z1, z1 + 50.0) for z1 in range(0, 320, 20)]
+
+
+def test_band_sweep_is_the_kernel_on_each_band_run_of_one_field():
+    # the engine's draws, replayed chunk by chunk with a short last chunk:
+    # one field on the hull [20, 350] m, its radii sorted, and each band
+    # the one-block kernel on its run [z1, z2) of that field
+    p = params(rho_j=2.0 * NetworkParams().rho_j)
+    bands = [(20.0, 70.0), (60.0, 60.0), (100.0, 350.0), (20.0, 350.0), (300.0, 350.0)]
+    hull = replace(p, annulus=AnnulusRegion(20.0, 350.0))
+    n_trials = 2 * CHUNK_SIZE + 321
+    values = [[] for _ in bands]
+    for size, rng in montecarlo._chunks(n_trials, 9):
+        owner, d_jam = montecarlo._jammers(hull, size, rng)
+        r = link_distances(p.rho_t, size, rng)
+        d_jam.sort()
+        for band, out in zip(bands, values):
+            run = slice(*np.searchsorted(d_jam, band))
+            out.append(rayleigh_coverage(r, d_jam[run], owner[run],
+                                         (p.beta_dl * p.gamma_dl, p.beta_ul * p.gamma_ul),
+                                         p.alpha))
+    sweep = estimate_coverage(TrialConfig(p, n_trials, 9), bands=bands)
+    assert len(sweep) == len(bands)
+    z = norm.isf(0.025)
+    for band, got, parts in zip(bands, sweep, values):
+        trials = np.concatenate(parts, axis=1)
+        cov = np.cov(trials) / n_trials
+        assert [got.p_dl, got.p_ul] == pytest.approx(trials.mean(axis=1), rel=1e-12), band
+        assert [got.ci_dl, got.ci_ul] == pytest.approx(
+            z * np.sqrt(np.diag(cov)), rel=1e-12, abs=1e-300), band
+
+
+@pytest.mark.parametrize("bands", [NESTED, SLIDING], ids=["nested", "sliding"])
+def test_band_sweep_follows_the_void_law(bands):
+    # at +300 dB a single jammer anywhere in the band drives coverage to
+    # about 1e-14 or less, so each trial is covered exactly when its band
+    # holds no jammer: probability exp(-rho_j |band|)
+    p = params(beta_dl_db=300.0, beta_ul_db=300.0)
+    sweep = estimate_coverage(TrialConfig(p, 20_000, 17), bands=bands)
+    for (z1, z2), got in zip(bands, sweep):
+        void = math.exp(-p.rho_j * math.pi * (z2 * z2 - z1 * z1))
+        for p_mc, ci in ((got.p_dl, got.ci_dl), (got.p_ul, got.ci_ul)):
+            se = ci / norm.isf(0.025)
+            assert abs(p_mc - void) <= 4.5 * se if z1 < z2 else (p_mc, ci) == (1.0, 0.0), (z1, z2)
+
+
+@pytest.mark.parametrize("bands", [NESTED, [(0.0, 100.0), (60.0, 60.0)], [(40.0, 40.0)]],
+                         ids=["first", "inside-the-hull", "hull-of-no-area"])
+def test_an_empty_band_is_certain_coverage(bands, monkeypatch):
+    # an empty band reads an empty run of the field, so every trial of it
+    # is covered with probability exactly 1 and the half-widths are 0
+    drawn = []
+
+    def recording(region, n, rng):
+        drawn.append(n)
+        return annulus_radii(region, n, rng)
+
+    monkeypatch.setattr(montecarlo, "annulus_radii", recording)
+    p = params(rho_j=4.0 * NetworkParams().rho_j)
+    sweep = estimate_coverage(TrialConfig(p, CHUNK_SIZE + 5, 3), bands=bands)
+    # one field per chunk, drawn on the hull
+    assert len(drawn) == 2 and (sum(drawn) > 0) == any(z1 < z2 for z1, z2 in bands)
+    for (z1, z2), got in zip(bands, sweep):
+        if z1 == z2:
+            assert (got.p_dl, got.p_ul, got.p_joint) == (1.0, 1.0, 1.0)
+            assert (got.ci_dl, got.ci_ul, got.ci_joint) == (0.0, 0.0, 0.0)
+        else:
+            assert got.p_joint < 1.0
+
+
+@pytest.mark.parametrize("bands, beta_db", [
+    ([], None), ([(10.0, 5.0)], None), ([(-1.0, 5.0)], None), ([(0.0, float("inf"))], None),
+    ([(float("nan"), 5.0)], None), ([(0.0, 5.0, 9.0)], None), ([0.0, 5.0], None),
+    ([(0.0, 5.0)], [-20.0]),
+], ids=["empty", "inverted", "negative", "infinite", "nan", "triple", "flat", "both-swept"])
+def test_band_sweep_rejects_bad_bands(bands, beta_db):
+    with pytest.raises(ValueError):
+        estimate_coverage(TrialConfig(params(), 100, 1), beta_db=beta_db, bands=bands)
