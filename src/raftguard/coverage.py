@@ -64,9 +64,16 @@ class CoverageResult:
 
     ``p_joint`` is the product of the marginals.  For the closed form
     the quadrature error estimate is the larger over the two directions
-    of |Q_n - Q_(n/2)|, the gap between the fixed outer rule and its
+    of |Q_96 - Q_48|, the gap between the fixed outer rule and its
     embedded half-order rule; for the ``"quadrature"`` oracle it is the
     adaptive outer integral's own estimate.
+
+    |Q_96 - Q_48| is in effect the error of the 48-node rule, not of
+    the 96-node rule that gives the result, so it is usually loose: in
+    nine of ten off-grid cases checked against the oracle it exceeded
+    the true gap by 20x to 1e8.  It does not bound the error near
+    alpha = 2, where the closed form cancels and the estimate reads
+    low.
     """
 
     p_dl: float

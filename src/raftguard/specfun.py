@@ -63,9 +63,10 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Newton's method on P_n from the standard cosine guesses, not
     ``np.polynomial.legendre.leggauss``: its eigenvalue solve at n = 96
-    wakes OpenBLAS's thread pool, whose idle spinning cost every forked
-    pool worker about 0.1 s of CPU (OpenBLAS 0.3.31 on a 2-CPU x86-64
-    machine).
+    wakes OpenBLAS's thread pool, whose threads then spin for about
+    0.13 s of CPU.  Called just before ``simulate_consensus`` on two
+    threads (4e4 trials), it raised that run's CPU time from about 55
+    to 100 ms (OpenBLAS 0.3.31 on a 2-CPU x86-64 machine).
     """
     x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
     for _ in range(5):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from raftguard import auth
 from raftguard.auth import (
     DEFAULT_PSI_MAX,
     AuthProfile,
@@ -397,6 +398,75 @@ def test_roc_matches_scalar_loop(m):
             assert eps == threshold_for_pfa(target, prof.sigma)
             miss = _ref_clip(_ref_window_mass(prof, eps) / (prof.m * prof.delta))
             assert p_d == pytest.approx(1.0 - miss, rel=1e-13)
+
+
+def _dense_p_md(prof, eve):
+    # every (intruder, fingerprint) window term in one array, each row
+    # summed in index order
+    psi = np.asarray(eve, dtype=float)
+    d = prof.ground_truth - psi[:, None]
+    q = q_function(np.stack((d - prof.epsilon, d + prof.epsilon)) / prof.sigma)
+    total = np.full(psi.size, 1.0 / psi.size) @ (q[0] - q[1]).sum(axis=-1)
+    return _ref_clip(total / prof.m)
+
+
+def _window_cases():
+    gt5, eve5 = shipped_realization()
+    gt1000, eve1000 = sample_fingerprints(1000, 20, DiskRegion(500.0), 3.0,
+                                          np.random.default_rng(PROFILE_SEED))
+    # intruders below psi_min and above psi_max, and repeated fingerprints
+    outside = [-40.0, -0.5, DEFAULT_PSI_MAX + 0.5, 200.0]
+    yield "m1", gt5[:1], np.concatenate((eve5, outside)), (0.0, 1.0)
+    yield "m5", gt5, np.concatenate((eve5, outside)), (0.0, 1.0, 6.0)
+    yield "m5-repeated", np.concatenate((gt5[:3], gt5[:2])), np.concatenate((eve5, gt5)), (0.0, 1.0)
+    yield "m1000", gt1000, np.concatenate((eve1000, outside)), (0.0, 0.03, 1.0)
+    yield "m1000-repeated", np.round(gt1000, 1), np.concatenate((eve1000, gt1000[:5])), (0.0, 1.0)
+
+
+WINDOW_CASES = list(_window_cases())
+
+
+@pytest.mark.parametrize("gt, eve, epsilons", [c[1:] for c in WINDOW_CASES],
+                         ids=[c[0] for c in WINDOW_CASES])
+def test_missed_detection_is_bitwise_the_dense_window_sum(gt, eve, epsilons):
+    # the window sum evaluates Q only between the saturation cuts; the
+    # terms it skips are exact zeros, so the sum keeps every bit
+    for lq in range(-10, 41, 2):
+        for eps in epsilons:
+            prof = AuthProfile(ground_truth=gt, sigma=lq_db_to_sigma(lq), epsilon=eps)
+            assert p_md_closed_form(prof, eve).hex() == _dense_p_md(prof, eve).hex(), (lq, eps)
+
+
+def test_missed_detection_keeps_every_term_next_to_the_cuts():
+    # fingerprints a few ulp either side of both cuts and of both
+    # saturation points, with sigma down to a hundredth of the intruder's
+    # ulp: the rounding of d and of the cut bounds must not drop a term
+    # that is not an exact zero
+    sums = []
+    for psi in (0.3, 77.7, 1e6):
+        ulp = np.spacing(psi)
+        for sigma in (0.01 * ulp, 0.3 * ulp, 3.0 * ulp, 1e4 * ulp):
+            for eps in (0.0, 17.0 * ulp, 1e-3):
+                edges = [psi + eps + x * sigma for x in (auth._Q_ZERO, 37.6)]
+                edges += [psi - eps + x * sigma for x in (auth._Q_ONE, -8.2)]
+                gt = np.concatenate([e + np.spacing(e) * np.arange(-60.0, 61.0) for e in edges])
+                prof = AuthProfile(ground_truth=gt, sigma=sigma, epsilon=eps)
+                got, dense = p_md_closed_form(prof, [psi]), _dense_p_md(prof, [psi])
+                assert got.hex() == dense.hex(), (psi, sigma, eps)
+                sums.append(got)
+    # where sigma is far below the ulp, rounding leaves no term between
+    # the saturation points; elsewhere the sums hold the terms next to them
+    assert sum(v > 0.0 for v in sums) >= 24
+
+
+def test_q_function_saturates_at_the_window_cuts():
+    # the window sum takes every term past these cuts as an exact zero; a
+    # scipy whose erfc rounds differently there fails here, not silently
+    # in the sums
+    assert q_function(auth._Q_ONE) == 1.0
+    assert q_function(auth._Q_ZERO) == 0.0
+    assert np.all(q_function(np.linspace(-60.0, auth._Q_ONE, 10001)) == 1.0)
+    assert np.all(q_function(np.linspace(auth._Q_ZERO, 1e4, 10001)) == 0.0)
 
 
 # ------------------------------------------------- closed form vs simulation

@@ -702,3 +702,120 @@ def test_an_empty_band_is_certain_coverage(bands, monkeypatch):
 def test_band_sweep_rejects_bad_bands(bands, beta_db):
     with pytest.raises(ValueError):
         estimate_coverage(TrialConfig(params(), 100, 1), beta_db=beta_db, bands=bands)
+
+
+# ------------------------------------------- authentication in ascending runs
+
+
+def _auth_in_draw_order(prof, scenario, n_trials, seed, eves, thresholds, sigmas):
+    """simulate_auth's integer tallies with every trial matched in the
+    order drawn: the engine's draws, ``nearest`` on each level's
+    measurements as they come, and the strict threshold test written
+    out, per level and threshold."""
+    pool = prof.ground_truth if scenario == "legit" else (
+        None if eves is None else np.asarray(eves, dtype=float))
+    accepted = np.zeros((len(sigmas), len(thresholds)), dtype=np.int64)
+    claimed_accepted = np.zeros_like(accepted)
+    wrong = np.zeros(len(sigmas), dtype=np.int64)
+    for index, start in enumerate(range(0, n_trials, CHUNK_SIZE)):
+        size = min(CHUNK_SIZE, n_trials - start)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+        if pool is not None:
+            ident = rng.choice(pool.size, size=size, p=np.full(pool.size, 1.0 / pool.size))
+            truth = pool[ident]
+        else:
+            truth = rng.uniform(prof.psi_min, prof.psi_max, size)
+        g = rng.standard_normal(size)
+        claimed = rng.integers(0, prof.m, size) if scenario == "eve" else None
+        for k, s in enumerate(sigmas):
+            z = truth + s * g
+            matched = prof.nearest(z)
+            for j, eps in enumerate(thresholds):
+                accepted[k, j] += np.count_nonzero(np.abs(z - prof.ground_truth[matched]) < eps)
+                if scenario == "eve":
+                    claimed_accepted[k, j] += np.count_nonzero(
+                        np.abs(z - prof.ground_truth[claimed]) < eps)
+            if scenario == "legit":
+                wrong[k] += np.count_nonzero(matched != ident)
+    return accepted, claimed_accepted, wrong
+
+
+def _tallies(outcome, n):
+    """The integer counts behind an outcome's rates, checked to be exact."""
+    if isinstance(outcome, LegitOutcome):
+        counts = (round((1.0 - outcome.p_fa) * n), round(outcome.p_mc * n))
+        assert outcome == LegitOutcome(n, p_fa=1.0 - counts[0] / n, p_mc=counts[1] / n)
+    else:
+        counts = (round(outcome.p_md * n), round(outcome.p_md_claimed * n))
+        assert outcome == IntruderOutcome(n, p_md=counts[0] / n, p_md_claimed=counts[1] / n)
+    return counts
+
+
+def _duplicated_fingerprints(m):
+    # m = 1000 rounded to 0.1 dB holds hundreds of repeated values; the
+    # small profiles repeat values by hand, so the lowest-index tie rule
+    # decides matches
+    if m == 1000:
+        gt, _ = sample_fingerprints(1000, 0, DiskRegion(500.0), 3.0, np.random.default_rng(28294))
+        return np.round(gt, 1)
+    return np.array({1: [57.6], 2: [50.0, 50.0], 5: [57.6, 50.0, 50.0, 43.3, 57.6]}[m])
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 1000])
+@pytest.mark.parametrize("scenario, eves", [
+    ("legit", None), ("eve", [50.0, 61.0, 75.0, 61.0, -3.0, 120.0]), ("eve", None),
+], ids=["legit", "eve-fixed", "eve-uniform"])
+def test_auth_tallies_are_those_of_the_trials_in_draw_order(m, scenario, eves):
+    # the engine reorders each chunk's trials before matching; every
+    # tally must still be the count over the trials as drawn
+    gt = _duplicated_fingerprints(m)
+    assert np.unique(gt).size < gt.size or m == 1
+    prof = AuthProfile(ground_truth=gt, sigma=0.3, epsilon=0.5)
+    n = 3 * CHUNK_SIZE + 17
+    calls = [({}, [prof.epsilon], [prof.sigma]),
+             ({"sigma": [1.0, 0.3, 0.03, 3.0]}, [prof.epsilon], [1.0, 0.3, 0.03, 3.0]),
+             ({"epsilon": [0.0, 0.05, 0.5, 4.0]}, [0.0, 0.05, 0.5, 4.0], [prof.sigma])]
+    for seed, (sweep, thresholds, sigmas) in enumerate(calls, start=40):
+        got = simulate_auth(prof, scenario, n, seed, eve_pathlosses=eves, **sweep)
+        got = [got] if not sweep else got
+        accepted, claimed_accepted, wrong = _auth_in_draw_order(
+            prof, scenario, n, seed, eves, thresholds, sigmas)
+        if scenario == "legit":
+            expect = [(a, w) for a, w in zip(accepted.ravel().tolist(),
+                                             np.repeat(wrong, len(thresholds)).tolist())]
+        else:
+            expect = list(zip(accepted.ravel().tolist(), claimed_accepted.ravel().tolist()))
+        assert [_tallies(o, n) for o in got] == expect, sweep
+
+
+@pytest.mark.parametrize("scenario, eves", [("legit", None), ("eve", [61.0, 50.0, 75.0, 61.0])],
+                         ids=["legit", "eve-fixed"])
+def test_auth_measurements_reach_nearest_in_ascending_runs(scenario, eves, monkeypatch):
+    # with a pool, each chunk's trials come grouped by pool entry, in
+    # ascending order of its value, with ascending noise inside a group:
+    # at every noise level, one ascending run per pool entry at most
+    seen = []
+    nearest = AuthProfile.nearest
+
+    def recording(self, z):
+        seen.append(np.array(z))
+        return nearest(self, z)
+
+    monkeypatch.setattr(AuthProfile, "nearest", recording)
+    prof = profile()
+    pool_size = prof.m if eves is None else len(eves)
+    simulate_auth(prof, scenario, 2 * CHUNK_SIZE + 5, 3, eve_pathlosses=eves,
+                  sigma=[3.0, 0.3, 1e-3])
+    assert len(seen) == 3 * 3
+    for z in seen:
+        assert np.count_nonzero(np.diff(z) < 0.0) <= pool_size - 1
+
+
+def test_ascending_order_is_a_permutation_that_sorts_the_key():
+    rng = np.random.default_rng(3)
+    keys = [rng.uniform(0.0, 81.0, CHUNK_SIZE), np.zeros(7), np.arange(100.0)[::-1] * 3.5,
+            np.repeat([2.0, 0.0, 1e300, 5e-324], 5), np.array([4.0])]
+    for key in keys:
+        order = montecarlo._ascending_order(key.copy())
+        assert np.array_equal(np.sort(order), np.arange(key.size))
+        assert np.all(np.diff(key[order]) >= 0.0)
