@@ -194,21 +194,23 @@ def _window_sum(profile: AuthProfile, psi: np.ndarray, epsilon: float) -> np.nda
     # P(psi_j + noise lands within epsilon of Psi_i): with d = Psi_i - psi_j,
     # the term Q((d - epsilon)/sigma) - Q((d + epsilon)/sigma), an exact 0
     # where both Q values saturate, past _Q_ONE or _Q_ZERO.  Q is evaluated
-    # only on each psi_j's run of sorted fingerprints between the cuts,
-    # whose one-sigma margins absorb the rounding of d and of the bounds;
-    # the terms are scattered into rows of zeros, and each full row is
-    # summed in index order: bitwise the sum of every term
+    # only on each psi_j's run of sorted fingerprints between the cuts; the
+    # cuts sit 0.2 and 1 sigma past the saturation points, which absorbs the
+    # rounding of d and of the bounds.  The terms go into rows of zeros,
+    # and each full row is summed in index order: bitwise the sum of every
+    # term
     order, srt, _ = profile._sorted
     sigma = profile.sigma
     lo = np.searchsorted(srt, psi - epsilon + _Q_ONE * sigma, side="left")
     counts = np.searchsorted(srt, psi + epsilon + _Q_ZERO * sigma, side="right") - lo
-    # the sorted positions lo_j, lo_j + 1, ... of each run, as fingerprint
-    # indices, then as flat positions in the rows
-    cols = order[np.arange(counts.sum()) + np.repeat(lo + counts - np.cumsum(counts), counts)]
-    d = profile.ground_truth[cols] - np.repeat(psi, counts)
-    cols += np.repeat(np.arange(0, psi.size * profile.m, profile.m), counts)
+    # run j fills the flat slots from starts[j]; slot k holds sorted
+    # position lo[j] + k - starts[j]
+    starts = np.cumsum(counts) - counts
+    rows = np.repeat(np.arange(psi.size), counts)
+    cols = order[np.arange(counts.sum()) + np.repeat(lo - starts, counts)]
+    d = profile.ground_truth[cols] - psi[rows]
     terms = np.zeros((psi.size, profile.m))
-    np.put(terms, cols, q_function((d - epsilon) / sigma) - q_function((d + epsilon) / sigma))
+    terms[rows, cols] = q_function((d - epsilon) / sigma) - q_function((d + epsilon) / sigma)
     return terms.sum(axis=-1)
 
 

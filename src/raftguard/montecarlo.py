@@ -412,25 +412,6 @@ class IntruderOutcome:
         _check_rates(self, "p_md", "p_md_claimed")
 
 
-def _ascending_order(key: np.ndarray) -> np.ndarray:
-    """An order of a chunk's non-negative ``key`` that ascends up to the
-    last 12 bits of each value's mantissa; ``key`` is overwritten.
-
-    Each value's position replaces those bits, which makes the values
-    distinct, and ``np.sort`` sorts them: the bit patterns of
-    non-negative doubles order as the integers they spell.  This serves
-    instead of ``np.argsort``, whose AVX-512 kernel faults in 0.19 MiB
-    of numpy's code that no other path of a shipped sweep runs (seen in
-    ``/proc/self/smaps``), a rise in the peak RSS of every process that
-    simulates authentication; the bits are set by integer arithmetic,
-    not by bitwise operators, for the same reason.
-    """
-    bits = key.view(np.int64)
-    bits -= bits % CHUNK_SIZE  # CHUNK_SIZE = 2**12
-    bits += np.arange(key.size)
-    return np.sort(key).view(np.int64) % CHUNK_SIZE
-
-
 def simulate_auth(
     profile: AuthProfile,
     scenario: str,
@@ -465,10 +446,10 @@ def simulate_auth(
     so outcome k is bitwise the run of the profile with ``sigma[k]``.
     At most one of ``epsilon`` and ``sigma`` may be a sweep.
 
-    Before matching, each chunk of a noise sweep orders its trials so
-    that every level's measurements reach ``AuthProfile.nearest`` in
-    ascending runs; the tallies count per-trial tests, so the order
-    changes none of them.
+    Before matching, each chunk of a noise sweep over a pool (legit, or
+    fixed intruders) orders its trials so that every level's
+    measurements reach ``AuthProfile.nearest`` in ascending runs; the
+    tallies count per-trial tests, so the order changes none of them.
     """
     if scenario not in ("legit", "eve"):
         raise ValueError(f"unknown scenario {scenario!r}")
@@ -493,21 +474,19 @@ def simulate_auth(
     # uniform weights drawn through ``choice``, whose stream differs from
     # that of ``integers``
     weights = None if pool is None else np.full(pool.size, 1.0 / pool.size)
-    # a chunk matched at several noise levels first puts its trials in
-    # order (below), into one buffer per array it draws (truth, noise,
-    # identity, claim), kept for the call; each pool entry's rank by
-    # value, from 1, leads the sort key.  At one level the order costs
-    # more than the search saves (the shipped roc sweep, m = 5, took
-    # 17.3 ms with it and 11.6 ms without, on 2 CPUs)
+    # a chunk matched at several noise levels from a pool first puts its
+    # trials in order (below), into one buffer per array it draws (truth,
+    # noise, identity, claim), kept for the call; each pool entry's rank
+    # by value leads the sort key.  At one level the order costs more
+    # than the search saves (the shipped roc sweep, m = 5, took 17.3 ms
+    # with it and 11.6 ms without, on 2 CPUs)
     buffers = None
-    if sig.size > 1:
+    if sig.size > 1 and pool is not None:
         n_chunk = min(n_trials, CHUNK_SIZE)
-        buffers = (np.empty(n_chunk), np.empty(n_chunk),
-                   None if pool is None else np.empty(n_chunk, np.int64),
+        buffers = (np.empty(n_chunk), np.empty(n_chunk), np.empty(n_chunk, np.int64),
                    np.empty(n_chunk, np.int64) if scenario == "eve" else None)
-        if pool is not None:
-            rank = np.empty(pool.size)
-            rank[np.argsort(pool, kind="stable")] = np.arange(1.0, pool.size + 1.0)
+        rank = np.empty(pool.size)
+        rank[np.argsort(pool, kind="stable")] = np.arange(pool.size, dtype=float)
 
     # one row of tallies per noise level, one column per threshold; at
     # most one of the two has more than one entry
@@ -515,7 +494,6 @@ def simulate_auth(
     n_claimed_accepted = np.zeros_like(n_accepted)
     n_wrong = np.zeros(sig.size, dtype=np.int64)
     for size, rng in _chunks(n_trials, master_seed):
-        ident = None
         if pool is not None:
             ident = rng.choice(pool.size, size=size, p=weights)
             truth = pool[ident]
@@ -524,17 +502,13 @@ def simulate_auth(
         noise = rng.standard_normal(size)
         claimed = rng.integers(0, m, size) if scenario == "eve" else None
 
-        # order the trials by truth, and by noise among equal truths, so
-        # that every level's measurements truth + s * noise reach
-        # ``nearest`` in ascending runs; the tallies count per-trial
-        # tests, which the order of the trials cannot change.  With a
-        # pool, the key is the entry's rank times a span wider than the
-        # chunk's noise, plus the noise
+        # order the trials by their pool entry's rank, and by noise within
+        # an entry, so that every level's measurements truth + s * noise
+        # reach ``nearest`` in ascending runs; the tallies count per-trial
+        # tests, which the order of the trials cannot change.  The key is
+        # the rank times a span wider than the chunk's noise, plus the noise
         if buffers is not None:
-            if pool is None:
-                order = _ascending_order(truth - profile.psi_min)
-            else:
-                order = _ascending_order(rank[ident] * (2.0 * np.abs(noise).max() + 1.0) + noise)
+            order = np.argsort(rank[ident] * (2.0 * np.abs(noise).max() + 1.0) + noise)
             truth, noise, ident, claimed = (
                 None if x is None else np.take(x, order, out=buf[:size])
                 for x, buf in zip((truth, noise, ident, claimed), buffers))

@@ -810,12 +810,3 @@ def test_auth_measurements_reach_nearest_in_ascending_runs(scenario, eves, monke
     for z in seen:
         assert np.count_nonzero(np.diff(z) < 0.0) <= pool_size - 1
 
-
-def test_ascending_order_is_a_permutation_that_sorts_the_key():
-    rng = np.random.default_rng(3)
-    keys = [rng.uniform(0.0, 81.0, CHUNK_SIZE), np.zeros(7), np.arange(100.0)[::-1] * 3.5,
-            np.repeat([2.0, 0.0, 1e300, 5e-324], 5), np.array([4.0])]
-    for key in keys:
-        order = montecarlo._ascending_order(key.copy())
-        assert np.array_equal(np.sort(order), np.arange(key.size))
-        assert np.all(np.diff(key[order]) >= 0.0)
