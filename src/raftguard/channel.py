@@ -19,7 +19,6 @@ __all__ = [
     "NetworkParams",
     "db_to_linear",
     "pathloss_db",
-    "rayleigh_coverage",
     "rayleigh_coverage_blocks",
     "two_way_coverage",
 ]
@@ -96,35 +95,24 @@ class NetworkParams:
         return db_to_linear(self.p_jammer_dbm - self.p_follower_dbm)
 
 
-def rayleigh_coverage(link, jammers, owner, beta_gamma, alpha: float) -> np.ndarray:
+def rayleigh_coverage_blocks(link, jammers, owner, blocks, alpha: float, runs=None):
     """Exact probability, given the geometry, that a receiver passes the
     SIR test ``signal > beta * sum of interference`` under Rayleigh
-    fading, at each of several thresholds.
+    fading, at each block of thresholds in ``blocks`` in turn.
 
-    ``link`` holds one link distance r per jammer realisation (row).
-    ``jammers`` holds jammer distances d_j in any order, and ``owner``
-    the row each of them belongs to.  ``beta_gamma`` holds SIR
-    thresholds times the jammer-to-transmitter power ratio, one per
-    link type sharing the geometry (downlink and uplink, say).  With
-    independent unit-mean exponential fading power on every link, and
-    x_j = r^alpha d_j^-alpha, the probability is prod_j 1 / (1 + c x_j)
-    at threshold c, evaluated as exp(-sum_j log1p(x_j c)) with each
-    row's sum in ``jammers`` order.  A row with no jammer is covered with
-    probability exactly 1 (interference-limited model, no noise), and
-    one with a jammer at distance 0 with probability exactly 0.  Returns
-    an array of shape ``(len(beta_gamma), len(link))``.
-    """
-    return next(rayleigh_coverage_blocks(link, jammers, owner, (beta_gamma,), alpha))
-
-
-def rayleigh_coverage_blocks(link, jammers, owner, blocks, alpha: float, runs=None):
-    """``rayleigh_coverage`` at each block of thresholds in ``blocks`` in
-    turn, from one gather of x_j: yields one array of shape ``(len(block),
-    len(link))`` per block, each row bitwise the one ``rayleigh_coverage``
-    gives at that threshold.  Only one block's rows are held at a time,
-    and the jammer-sized buffers go when the generator is exhausted or
-    dropped.  The generator lets go of ``link`` and ``jammers`` once x_j
-    is gathered, so arrays the caller no longer holds are freed then.
+    ``link`` holds one link distance r per jammer realisation (row),
+    ``jammers`` the jammer distances d_j in any order, and ``owner`` each
+    jammer's row.  A block holds SIR thresholds times the
+    jammer-to-transmitter power ratio, one per link type sharing the
+    geometry (downlink and uplink, say).  With independent unit-mean
+    exponential fading power on every link and x_j = r^alpha d_j^-alpha,
+    threshold c gives prod_j 1 / (1 + c x_j) = exp(-sum_j log1p(x_j c)),
+    each row summed in ``jammers`` order: exactly 1 for a row with no
+    jammer (no noise is modeled), exactly 0 for one with a jammer at
+    distance 0.  Yields one array of shape ``(len(block), len(link))``
+    per block, from one gather of x_j, and holds one block's rows at a
+    time; ``link`` and ``jammers`` are let go once x_j is gathered, and
+    the jammer-sized buffers when the generator is exhausted or dropped.
 
     ``runs``, one slice per block, names the run of jammers each block
     covers; block k then sees only ``jammers[runs[k]]``, bitwise as if
@@ -170,8 +158,8 @@ def two_way_coverage(nodes, rows: int, jammers, owner, c_dl: float, c_ul: float,
                      alpha: float) -> np.ndarray:
     """Probability that both the downlink and the uplink of a receiver
     pass, for receivers at ``nodes`` shared by each of ``rows`` jammer
-    realisations; ``jammers`` and ``owner`` are as for
-    ``rayleigh_coverage``, and ``c_dl`` and ``c_ul`` the two thresholds.
+    realisations, at thresholds ``c_dl`` and ``c_ul``; ``jammers`` and
+    ``owner`` are as for ``rayleigh_coverage_blocks``.
 
     With fading independent per direction this is prod_j 1 / ((1 + c_dl
     x_j)(1 + c_ul x_j)), x_j = r^alpha d_j^-alpha.  Each jammer's factor

@@ -88,6 +88,29 @@ def _check_run(n_trials, master_seed) -> tuple[int, int]:
             _as_int(master_seed, "master_seed", 0, "non-negative"))
 
 
+_SWEEP_RULES = {"beta_db": (-math.inf, "values in dB"), "epsilon": (0.0, "values >= 0"),
+                "sigma": (math.ulp(0.0), "values > 0"), "bands": (0.0, "rows 0 <= z1 <= z2")}
+
+
+def _sweeps(**args) -> list:
+    """The one rule of every sweep argument: at most one per call, and
+    that one non-empty, finite, 1-D (of rows (z1, z2) for ``bands``) and
+    at or above its floor in ``_SWEEP_RULES``, with z1 <= z2 in a band.
+    Returns each of a call's sweep arguments as None or a float array."""
+    given = {name: np.array(v, dtype=float) for name, v in args.items() if v is not None}
+    if len(given) > 1:
+        raise ValueError(f"sweep {' or '.join(args)}, not both")
+    for name, values in given.items():
+        floor, rule = _SWEEP_RULES[name]
+        # each row, led by the floor, must not descend (a band's z1 from 0,
+        # its z2 from z1); NaN and infinity fail before a row is read
+        if not (values.ndim and values.shape[1:] == ((2,) if name == "bands" else ())
+                and values.size and np.isfinite(values).all()
+                and np.all(np.diff(values.reshape(len(values), -1), prepend=floor) >= 0.0)):
+            raise ValueError(f"{name} must be a non-empty 1-D array of finite {rule}")
+    return [given.get(name) for name in args]
+
+
 def _check_rates(outcome, *names: str, halfwidths: tuple[str, ...] = ()) -> None:
     """Reject a rate outside [0, 1], or a half-width below 0 or not finite."""
     for name in names:
@@ -280,25 +303,19 @@ def estimate_coverage(config: TrialConfig, beta_db=None,
     its radii, and band k reads the run of radii in [z1, z2), by
     restriction a PPP on that band (common random numbers).  Its law is
     that of the one-band run; an empty band gives exactly 1, and a band
-    nested in another cannot cover a trial less.  At most one of
-    ``beta_db`` and ``bands`` may be a sweep.
+    nested in another cannot cover a trial less.  Both follow the one
+    sweep rule of ``_sweeps``: at most one per call.
     """
     p = config.params
-    if beta_db is not None and bands is not None:
-        raise ValueError("sweep beta_db or bands, not both")
-    points = [p] if beta_db is None else [replace(p, beta_dl_db=b, beta_ul_db=b) for b in beta_db]
+    beta_db, bands = _sweeps(beta_db=beta_db, bands=bands)
+    # Python floats, so that each threshold converts as a one-point run's
+    points = [p] if beta_db is None else [replace(p, beta_dl_db=b, beta_ul_db=b)
+                                          for b in beta_db.tolist()]
     if bands is not None:
-        bands = np.array(bands, dtype=float)
-        # NaN fails every comparison; a finite z2 bounds z1
-        if not (bands.ndim == 2 and bands.shape[1] == 2 and bands.size and np.all(
-                (0.0 <= bands[:, 0]) & (bands[:, 0] <= bands[:, 1]) & np.isfinite(bands[:, 1]))):
-            raise ValueError("bands must be a non-empty sequence of (z1, z2), 0 <= z1 <= z2")
         lo, hi = bands[:, 0].min(), bands[:, 1].max()
         # a hull of no area holds no jammer
         p = replace(p, annulus=AnnulusRegion(lo, hi)) if lo < hi else replace(p, rho_j=0.0)
         points = [p] * len(bands)
-    if not points:
-        raise ValueError("beta_db must hold at least one threshold")
     blocks = [(q.beta_dl * q.gamma_dl, q.beta_ul * q.gamma_ul) for q in points]
     means = [_TrialMean() for _ in blocks]
     for size, rng in _chunks(config.n_trials, config.master_seed):
@@ -444,7 +461,7 @@ def simulate_auth(
     and each level sigma_k matches the measurements truth + sigma_k * g.
     ``Generator.normal(0, sigma)`` is 0 + sigma * g from the same stream,
     so outcome k is bitwise the run of the profile with ``sigma[k]``.
-    At most one of ``epsilon`` and ``sigma`` may be a sweep.
+    Both follow the one sweep rule of ``_sweeps``: at most one per call.
 
     Before matching, each chunk of a noise sweep over a pool (legit, or
     fixed intruders) orders its trials so that every level's
@@ -456,16 +473,10 @@ def simulate_auth(
     n_trials, master_seed = _check_run(n_trials, master_seed)
     if scenario == "legit" and eve_pathlosses is not None:
         raise ValueError("eve_pathlosses only applies to the 'eve' scenario")
-    if epsilon is not None and sigma is not None:
-        raise ValueError("sweep epsilon or sigma, not both")
-    eps = np.array([profile.epsilon] if epsilon is None else epsilon, dtype=float)
-    if eps.ndim != 1 or eps.size == 0 or not np.all(np.isfinite(eps) & (eps >= 0.0)):
-        raise ValueError("epsilon must be a non-empty 1-D array of finite values >= 0")
-    sig = np.array([profile.sigma] if sigma is None else sigma, dtype=float)
-    if sig.ndim != 1 or sig.size == 0 or not np.all(np.isfinite(sig) & (sig > 0.0)):
-        raise ValueError("sigma must be a non-empty 1-D array of finite values > 0")
+    epsilon, sigma = _sweeps(epsilon=epsilon, sigma=sigma)
+    eps = np.array([profile.epsilon], dtype=float) if epsilon is None else epsilon
+    sig = np.array([profile.sigma], dtype=float) if sigma is None else sigma
 
-    m = profile.m
     pool = None
     if scenario == "legit":
         pool = profile.ground_truth
@@ -474,17 +485,11 @@ def simulate_auth(
     # uniform weights drawn through ``choice``, whose stream differs from
     # that of ``integers``
     weights = None if pool is None else np.full(pool.size, 1.0 / pool.size)
-    # a chunk matched at several noise levels from a pool first puts its
-    # trials in order (below), into one buffer per array it draws (truth,
-    # noise, identity, claim), kept for the call; each pool entry's rank
-    # by value leads the sort key.  At one level the order costs more
-    # than the search saves (the shipped roc sweep, m = 5, took 17.3 ms
-    # with it and 11.6 ms without, on 2 CPUs)
-    buffers = None
+    # each pool entry's rank by value, to order a chunk's trials (below);
+    # at one level the order costs more than the search saves (the shipped
+    # roc sweep, m = 5, took 17.3 ms with it and 11.6 ms without, 2 CPUs)
+    rank = None
     if sig.size > 1 and pool is not None:
-        n_chunk = min(n_trials, CHUNK_SIZE)
-        buffers = (np.empty(n_chunk), np.empty(n_chunk), np.empty(n_chunk, np.int64),
-                   np.empty(n_chunk, np.int64) if scenario == "eve" else None)
         rank = np.empty(pool.size)
         rank[np.argsort(pool, kind="stable")] = np.arange(pool.size, dtype=float)
 
@@ -500,19 +505,16 @@ def simulate_auth(
         else:
             truth = rng.uniform(profile.psi_min, profile.psi_max, size)
         noise = rng.standard_normal(size)
-        claimed = rng.integers(0, m, size) if scenario == "eve" else None
+        claimed = rng.integers(0, profile.m, size) if scenario == "eve" else None
 
         # order the trials by their pool entry's rank, and by noise within
         # an entry, so that every level's measurements truth + s * noise
-        # reach ``nearest`` in ascending runs; the tallies count per-trial
-        # tests, which the order of the trials cannot change.  The key is
-        # the rank times a span wider than the chunk's noise, plus the noise
-        if buffers is not None:
+        # reach ``nearest`` in ascending runs: the key is the rank times a
+        # span wider than the chunk's noise, plus the noise
+        if rank is not None:
             order = np.argsort(rank[ident] * (2.0 * np.abs(noise).max() + 1.0) + noise)
-            truth, noise, ident, claimed = (
-                None if x is None else np.take(x, order, out=buf[:size])
-                for x, buf in zip((truth, noise, ident, claimed), buffers))
-            del order
+            truth, noise, ident = truth[order], noise[order], ident[order]
+            claimed = None if claimed is None else claimed[order]
 
         # one noise level at a time, so the chunk holds one measurement vector
         for k, s in enumerate(sig):

@@ -7,11 +7,15 @@ from raftguard.channel import (
     NetworkParams,
     db_to_linear,
     pathloss_db,
-    rayleigh_coverage,
     rayleigh_coverage_blocks,
     two_way_coverage,
 )
 from raftguard.geometry import AnnulusRegion, DiskRegion
+
+
+def one_block(link, jammers, owner, beta_gamma, alpha):
+    """The coverage kernel's rows at one block of thresholds."""
+    return next(rayleigh_coverage_blocks(link, jammers, owner, (beta_gamma,), alpha))
 
 
 def test_db_round_trip():
@@ -79,7 +83,7 @@ def test_sir_hand_value_downlink():
     # P(SIR > beta) = 1 / (1 + beta/800)
     p = hand_params()
     for beta in (0.01, 1.0, 800.0, 1e6):
-        got = rayleigh_coverage([10.0], [20.0], [0], (beta * p.gamma_dl,), p.alpha)
+        got = one_block([10.0], [20.0], [0], (beta * p.gamma_dl,), p.alpha)
         assert got[0, 0] == pytest.approx(1.0 / (1.0 + beta / 800.0), rel=1e-14)
 
 
@@ -87,7 +91,7 @@ def test_sir_hand_value_uplink():
     # follower transmits 100 mW: the uplink mean SIR is one tenth, 80
     p = hand_params()
     for beta in (0.01, 1.0, 80.0, 1e6):
-        got = rayleigh_coverage([10.0], [20.0], [0], (beta * p.gamma_ul,), p.alpha)
+        got = one_block([10.0], [20.0], [0], (beta * p.gamma_ul,), p.alpha)
         assert got[0, 0] == pytest.approx(1.0 / (1.0 + beta / 80.0), rel=1e-14)
 
 
@@ -95,10 +99,10 @@ def test_sir_no_jammers_is_infinite():
     # row 1 owns no jammer: its SIR is infinite and it is covered with
     # probability exactly 1 at any threshold, while row 0 is jammed out
     p = hand_params()
-    got = rayleigh_coverage([10.0, 400.0], [20.0], [0], (1e9 * p.gamma_dl,), p.alpha)[0]
+    got = one_block([10.0, 400.0], [20.0], [0], (1e9 * p.gamma_dl,), p.alpha)[0]
     assert got[0] < 1e-6
     assert got[1] == 1.0
-    assert rayleigh_coverage([10.0, 400.0], [], [], (1e9,), p.alpha).tolist() == [[1.0, 1.0]]
+    assert one_block([10.0, 400.0], [], [], (1e9,), p.alpha).tolist() == [[1.0, 1.0]]
 
 
 def test_rayleigh_coverage_matches_fading_tally():
@@ -113,8 +117,8 @@ def test_rayleigh_coverage_matches_fading_tally():
     p_jammer = db_to_linear(p.p_jammer_dbm)
     for p_tx_dbm, beta, beta_gamma in ((p.p_leader_dbm, p.beta_dl, p.beta_dl * p.gamma_dl),
                                        (p.p_follower_dbm, p.beta_ul, p.beta_ul * p.gamma_ul)):
-        exact = rayleigh_coverage([r], d_jam, np.zeros(d_jam.size, int), (beta_gamma,),
-                                  p.alpha)[0, 0]
+        exact = one_block([r], d_jam, np.zeros(d_jam.size, int), (beta_gamma,),
+                          p.alpha)[0, 0]
         hits = 0
         for _ in range(n // chunk):
             signal = db_to_linear(p_tx_dbm) * rng.exponential(1.0, chunk) * r ** -p.alpha
@@ -132,7 +136,7 @@ def test_rayleigh_coverage_rows_share_their_jammers():
     link = np.array([10.0, 30.0, 50.0, 70.0])
     d_jam = np.array([25.0, 45.0, 0.0, 35.0])
     owner = np.array([0, 2, 3, 0])
-    both = rayleigh_coverage(link, d_jam, owner, (0.3, 2.0), 3.0)
+    both = one_block(link, d_jam, owner, (0.3, 2.0), 3.0)
     assert both.shape == (2, 4) and both.flags.c_contiguous
     for b, beta_gamma in enumerate((0.3, 2.0)):
         want = np.ones_like(link)
@@ -147,7 +151,7 @@ def test_rayleigh_coverage_rows_share_their_jammers():
 def test_rayleigh_coverage_rejects_owners_out_of_range():
     for owner in ([1], [-1]):
         with pytest.raises(ValueError):
-            rayleigh_coverage([10.0], [20.0], owner, (1.0,), 3.0)
+            one_block([10.0], [20.0], owner, (1.0,), 3.0)
         with pytest.raises(ValueError):
             two_way_coverage([10.0, 30.0], 1, [20.0], owner, 0.1, 1.0, 3.0)
 
@@ -158,8 +162,8 @@ def test_rayleigh_coverage_holds_two_jammer_sized_arrays():
     rng = np.random.default_rng(5)
     d_jam = 300.0 * np.sqrt(rng.random(200_000))
     owner = rng.integers(0, 512, d_jam.size)
-    for kernel, args in ((rayleigh_coverage, (30.0 + 470.0 * rng.random(512), d_jam, owner,
-                                              (0.1, 1.0), 3.0)),
+    for kernel, args in ((one_block, (30.0 + 470.0 * rng.random(512), d_jam, owner,
+                                      (0.1, 1.0), 3.0)),
                          (two_way_coverage, (np.linspace(30.0, 500.0, 16), 512, d_jam, owner,
                                              0.1, 1.0, 3.0))):
         tracemalloc.start()
@@ -185,7 +189,7 @@ def test_rayleigh_coverage_blocks_are_the_kernel_per_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got == [rayleigh_coverage(link, d_jam, owner, b, 3.0).tobytes() for b in blocks]
+    assert got == [one_block(link, d_jam, owner, b, 3.0).tobytes() for b in blocks]
     assert peak < 2.5 * d_jam.nbytes + 16 * 2 * link.nbytes
 
 
@@ -209,7 +213,7 @@ def test_rayleigh_coverage_blocks_cover_their_runs(block):
     extra = max(len(block) - 2, 0)
     assert peak < (2.5 + extra) * d_jam.nbytes + 4 * len(block) * link.nbytes
     for run, rows in zip(runs, got):
-        want = rayleigh_coverage(link, d_jam[run], owner[run], block, 3.0)
+        want = one_block(link, d_jam[run], owner[run], block, 3.0)
         assert rows.tobytes() == want.tobytes(), run
     assert np.all(got[2] == 1.0)
 
@@ -230,8 +234,8 @@ def random_field(rng, rows, per_row):
 def marginal_product(nodes, rows, d_jam, owner, c_dl, c_ul, alpha):
     """Two-way coverage at shared nodes, from the per-row kernel's two
     marginals at each node."""
-    return np.stack([rayleigh_coverage(np.full(rows, node), d_jam, owner, (c_dl, c_ul),
-                                       alpha).prod(axis=0) for node in nodes], axis=1)
+    return np.stack([one_block(np.full(rows, node), d_jam, owner, (c_dl, c_ul),
+                               alpha).prod(axis=0) for node in nodes], axis=1)
 
 
 def test_rayleigh_coverage_bits():
@@ -244,7 +248,7 @@ def test_rayleigh_coverage_bits():
         want = np.exp(-np.stack([np.bincount(owner, np.log1p((link ** alpha)[owner]
                                                              * d_jam ** -alpha * c), 300)
                                  for c in (1e-4, 1e-3)]))
-        got = rayleigh_coverage(link, d_jam, owner, (1e-4, 1e-3), alpha)
+        got = one_block(link, d_jam, owner, (1e-4, 1e-3), alpha)
         assert got.tobytes() == want.tobytes()
 
 
@@ -314,7 +318,7 @@ def test_marginal_coverage_warns_on_overflow():
     # only the two-way products may overflow quietly: a link distance
     # whose r^alpha overflows is still reported on the per-row path
     with pytest.warns(RuntimeWarning, match="overflow"):
-        rayleigh_coverage([1e200], [20.0], [0], (1.0,), 3.0)
+        one_block([1e200], [20.0], [0], (1.0,), 3.0)
 
 
 def test_params_carry_regions():

@@ -129,8 +129,8 @@ def test_noise_sweep_is_the_one_sigma_run_at_each_sigma(scenario, eves):
 
 @pytest.mark.parametrize("sigma, epsilon", [
     ([], None), ([[0.5]], None), ([0.5, float("nan")], None), ([float("inf")], None),
-    ([0.0], None), ([0.5, -1.0], None), ([0.5, 1.0], [1.0, 2.0]), ([0.5], [1.0]),
-], ids=["empty", "2-D", "nan", "inf", "zero", "negative", "both-swept", "both-given"])
+    ([0.0], None), ([0.5, -1.0], None), ([0.5, 1.0], [1.0, 2.0]), ([0.5], [1.0]), (0.5, None),
+], ids=["empty", "2-D", "nan", "inf", "zero", "negative", "both-swept", "both-given", "scalar"])
 def test_noise_sweep_rejects_bad_sigma(sigma, epsilon):
     prof = AuthProfile(ground_truth=np.array([43.3, 57.6]), sigma=0.3, epsilon=1.0)
     with pytest.raises(ValueError):

@@ -48,7 +48,6 @@ def recorder(fn, out):
 def test_simulated_points_lie_within_standard_errors_of_the_closed_form(config, monkeypatch):
     # the CLI's own points, seeds and coupling: the closed forms and
     # estimates its in-process evaluation makes, in sweep order
-    monkeypatch.setenv("RAFTGUARD_WORKERS", "1")
     closed, simulated = [], []
     monkeypatch.setattr(cli, "coverage_joint", recorder(cli.coverage_joint, closed))
     monkeypatch.setattr(cli, "estimate_coverage", recorder(cli.estimate_coverage, simulated))

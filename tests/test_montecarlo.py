@@ -18,7 +18,7 @@ from raftguard import montecarlo
 from raftguard.auth import (
     AuthProfile, count_accepted, lq_db_to_sigma, sample_fingerprints, threshold_for_pfa,
 )
-from raftguard.channel import NetworkParams, rayleigh_coverage
+from raftguard.channel import NetworkParams, rayleigh_coverage_blocks
 from raftguard.coverage import coverage_joint
 from raftguard.geometry import AnnulusRegion, DiskRegion, annulus_radii, link_distances
 from raftguard.montecarlo import (
@@ -44,6 +44,11 @@ def profile(lq_db=10.0, target=0.1):
     gt = np.array([43.3, 57.6, 62.6, 70.7, 76.0])
     sigma = lq_db_to_sigma(lq_db)
     return AuthProfile(ground_truth=gt, sigma=sigma, epsilon=threshold_for_pfa(target, sigma))
+
+
+def one_block(link, jammers, owner, beta_gamma, alpha):
+    """The coverage kernel's rows at one block of thresholds."""
+    return next(rayleigh_coverage_blocks(link, jammers, owner, (beta_gamma,), alpha))
 
 
 # ------------------------------------------------------------- determinism
@@ -387,9 +392,9 @@ def test_coverage_intervals_match_sample_covariance():
     for size, rng in montecarlo._chunks(n_trials, 8):
         owner, d_jam = montecarlo._jammers(p, size, rng)
         r = link_distances(p.rho_t, size, rng)
-        values.append(rayleigh_coverage(r, d_jam, owner,
-                                        (p.beta_dl * p.gamma_dl, p.beta_ul * p.gamma_ul),
-                                        p.alpha))
+        values.append(one_block(r, d_jam, owner,
+                                (p.beta_dl * p.gamma_dl, p.beta_ul * p.gamma_ul),
+                                p.alpha))
     values = np.concatenate(values, axis=1)
     cov = np.cov(values) / n_trials
     p_dl, p_ul = values.mean(axis=1)
@@ -415,9 +420,9 @@ def test_consensus_matches_a_replay_through_the_marginals():
     values, lam_s = [], []
     for size, rng in montecarlo._chunks(n_trials, 6):
         owner, d_jam = montecarlo._jammers(p, size, rng)
-        dl, ul = np.stack([rayleigh_coverage(np.full(size, node), d_jam, owner,
-                                             (p.beta_dl * p.gamma_dl, p.beta_ul * p.gamma_ul),
-                                             p.alpha) for node in p.disk.radius * disk_r], axis=-1)
+        dl, ul = np.stack([one_block(np.full(size, node), d_jam, owner,
+                                     (p.beta_dl * p.gamma_dl, p.beta_ul * p.gamma_ul),
+                                     p.alpha) for node in p.disk.radius * disk_r], axis=-1)
         lam_s.append(lam_t * (dl * ul) @ disk_w)
         values.append(chndtr(2.0 * lam_s[-1], 2.0, 2.0 * (lam_t - lam_s[-1])))
     assert values[-1].size == 321
@@ -582,7 +587,7 @@ def test_coverage_threshold_sweep_is_the_one_threshold_run_at_each_threshold():
 
 def test_coverage_threshold_sweep_needs_finite_thresholds():
     config = TrialConfig(params(), 100, 1)
-    for bad in ([], [float("nan")], [-20.0, float("inf")]):
+    for bad in ([], [float("nan")], [-20.0, float("inf")], -20.0, [[-20.0]]):
         with pytest.raises(ValueError):
             estimate_coverage(config, beta_db=bad)
 
@@ -615,7 +620,7 @@ def test_auth_tally_rejects_the_boundary():
     assert [(r.p_md, r.p_md_claimed) for r in eve] == [(0.0, 0.0), (1.0, 1.0)]
 
 
-@pytest.mark.parametrize("bad", [[], [-0.5], [float("nan")], [[1.0]], [1.0, float("inf")]])
+@pytest.mark.parametrize("bad", [[], [-0.5], [float("nan")], [[1.0]], [1.0, float("inf")], 1.0])
 def test_auth_threshold_sweep_needs_finite_thresholds(bad):
     with pytest.raises(ValueError):
         simulate_auth(profile(), "eve", 100, 0, epsilon=bad)
@@ -642,9 +647,9 @@ def test_band_sweep_is_the_kernel_on_each_band_run_of_one_field():
         d_jam.sort()
         for band, out in zip(bands, values):
             run = slice(*np.searchsorted(d_jam, band))
-            out.append(rayleigh_coverage(r, d_jam[run], owner[run],
-                                         (p.beta_dl * p.gamma_dl, p.beta_ul * p.gamma_ul),
-                                         p.alpha))
+            out.append(one_block(r, d_jam[run], owner[run],
+                                 (p.beta_dl * p.gamma_dl, p.beta_ul * p.gamma_ul),
+                                 p.alpha))
     sweep = estimate_coverage(TrialConfig(p, n_trials, 9), bands=bands)
     assert len(sweep) == len(bands)
     z = norm.isf(0.025)
@@ -697,8 +702,9 @@ def test_an_empty_band_is_certain_coverage(bands, monkeypatch):
 @pytest.mark.parametrize("bands, beta_db", [
     ([], None), ([(10.0, 5.0)], None), ([(-1.0, 5.0)], None), ([(0.0, float("inf"))], None),
     ([(float("nan"), 5.0)], None), ([(0.0, 5.0, 9.0)], None), ([0.0, 5.0], None),
-    ([(0.0, 5.0)], [-20.0]),
-], ids=["empty", "inverted", "negative", "infinite", "nan", "triple", "flat", "both-swept"])
+    ([(0.0, 5.0)], [-20.0]), (5.0, None),
+], ids=["empty", "inverted", "negative", "infinite", "nan", "triple", "flat", "both-swept",
+        "scalar"])
 def test_band_sweep_rejects_bad_bands(bands, beta_db):
     with pytest.raises(ValueError):
         estimate_coverage(TrialConfig(params(), 100, 1), beta_db=beta_db, bands=bands)
