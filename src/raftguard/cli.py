@@ -4,9 +4,9 @@ columns side by side.
 Every scenario sweeps one variable, evaluates each point analytically
 and by simulation, and writes one row per point in sweep order.  Every
 sweep is coupled: it draws one Monte Carlo sample for all of its points,
-seeded from the master seed and point 0, and evaluates it at each point
-(common random numbers).  The sweep runs in process; output files are
-byte-identical for a given config and seed, whatever
+seeded from the master seed and a fixed key, and evaluates it at each
+point (common random numbers).  The sweep runs in process; output files
+are byte-identical for a given config and seed, whatever
 ``RAFTGUARD_WORKERS`` says.
 """
 
@@ -137,10 +137,6 @@ def _profile(config: ExperimentConfig, n_eves: int, sigma: float,
                        psi_max=float(pathloss_db(p.disk.radius, p.alpha))), eve
 
 
-def _beta_point(p: NetworkParams, value: float) -> NetworkParams:
-    return replace(p, beta_dl_db=value, beta_ul_db=value)
-
-
 def _jam_area_band(p: NetworkParams, value: float) -> tuple[float, float]:
     # empty where the outer radius does not pass the inner one
     return p.annulus.inner, max(value, p.annulus.inner)
@@ -166,46 +162,43 @@ def _coverage_row(var: str, value: float, ana, mc) -> dict:
     }
 
 
-def _beta_rows(config: ExperimentConfig, points: list[tuple[int, float]]):
-    # the geometry does not depend on the threshold: one sample, seeded
-    # by the first point, evaluated at every threshold
+def _beta_rows(config: ExperimentConfig, values: list[float]):
+    # the geometry does not depend on the threshold: one sample for all
     mcs = estimate_coverage(TrialConfig(config.params, config.n_trials,
-                                        _derive_seed(config.master_seed, points[0][0])),
-                            beta_db=[value for _, value in points])
-    for (_, value), mc in zip(points, mcs):
-        ana = coverage_joint(_beta_point(config.params, value))
+                                        _derive_seed(config.master_seed, 0)),
+                            beta_db=values)
+    for value, mc in zip(values, mcs):
+        ana = coverage_joint(replace(config.params, beta_dl_db=value, beta_ul_db=value))
         yield _coverage_row(config.sweep.variable, value, ana, mc)
 
 
 def _band_rows(band_at: Callable[[NetworkParams, float], tuple[float, float]],
-               config: ExperimentConfig, points: list[tuple[int, float]]):
-    # one jammer field on the hull of the bands, seeded by the first
-    # point; each band reads its own run of the field
+               config: ExperimentConfig, values: list[float]):
+    # one jammer field on the bands' hull; each band reads its own run
     p = config.params
-    bands = [band_at(p, value) for _, value in points]
+    bands = [band_at(p, value) for value in values]
     mcs = estimate_coverage(TrialConfig(p, config.n_trials,
-                                        _derive_seed(config.master_seed, points[0][0])),
+                                        _derive_seed(config.master_seed, 0)),
                             bands=bands)
-    for (_, value), (z1, z2), mc in zip(points, bands, mcs):
+    for value, (z1, z2), mc in zip(values, bands, mcs):
         # the closed form reads an empty band as no jammer
         point = replace(p, annulus=AnnulusRegion(z1, z2)) if z1 < z2 else replace(p, rho_j=0.0)
         yield _coverage_row(config.sweep.variable, value, coverage_joint(point), mc)
 
 
-def _auth_rows(config: ExperimentConfig, points: list[tuple[int, float]]):
+def _auth_rows(config: ExperimentConfig, values: list[float]):
     # the identities, intruder draws and claims do not depend on the noise
-    # level: one sample, seeded by the first point, its standard
+    # level: one legitimate and one intruder sample, their standard
     # normal noise scaled to every point's sigma
     eps = config.auth.epsilon_db
-    sigmas = [lq_db_to_sigma(value) for _, value in points]
+    sigmas = [lq_db_to_sigma(value) for value in values]
     profile, eve = _profile(config, config.auth.n_eves, sigmas[0], eps)
-    first = points[0][0]
     legits = simulate_auth(profile, "legit", config.n_trials,
-                           _derive_seed(config.master_seed, first, 0), sigma=sigmas)
+                           _derive_seed(config.master_seed, 0, 0), sigma=sigmas)
     eves = simulate_auth(profile, "eve", config.n_trials,
-                         _derive_seed(config.master_seed, first, 1), eve_pathlosses=eve,
+                         _derive_seed(config.master_seed, 0, 1), eve_pathlosses=eve,
                          sigma=sigmas)
-    for (_, value), sigma, legit, intruder in zip(points, sigmas, legits, eves):
+    for value, sigma, legit, intruder in zip(values, sigmas, legits, eves):
         point = replace(profile, sigma=sigma)
         yield {
             "lq_db": value,
@@ -219,15 +212,15 @@ def _auth_rows(config: ExperimentConfig, points: list[tuple[int, float]]):
         }
 
 
-def _roc_rows(config: ExperimentConfig, points: list[tuple[int, float]]):
+def _roc_rows(config: ExperimentConfig, values: list[float]):
     # the intruder draw does not depend on the threshold: one sample,
-    # seeded by the first point, tallied at every threshold that
-    # roc_curve calibrates; neither reads the profile's own threshold
+    # tallied at every threshold that roc_curve calibrates; neither
+    # reads the profile's own threshold
     sigma = lq_db_to_sigma(config.auth.lq_db)
     profile, _ = _profile(config, 0, sigma, config.auth.epsilon_db)
-    curve = roc_curve(profile, [value for _, value in points])
+    curve = roc_curve(profile, values)
     sims = simulate_auth(profile, "eve", config.n_trials,
-                         _derive_seed(config.master_seed, points[0][0]),
+                         _derive_seed(config.master_seed, 0),
                          epsilon=[e for _, e, _ in curve])
     for (p_fa, e, p_d), sim in zip(curve, sims):
         yield {"p_fa": p_fa, "epsilon": e, "p_d_cf": p_d, "p_d_mc": 1.0 - sim.p_md_claimed}
@@ -248,15 +241,15 @@ def _radius_sweep(sweep: SweepSpec) -> str | None:
 @dataclass(frozen=True)
 class Scenario:
     """One sweep scenario: the variable it sweeps, its output columns,
-    the generator of the rows of the sweep's (index, value) points, in
-    order, drawn as one Monte Carlo sample seeded by the first point,
+    the generator of the rows of the sweep's values, in order, drawn as
+    one Monte Carlo sample seeded by the master seed and a fixed key,
     the ``auth`` keys whose product counts the (intruder,
     fingerprint) pairs its closed form holds (none for a scenario
     without an ``auth`` block), and the sweep-domain check."""
 
     variable: str
     columns: list[str]
-    rows: Callable[[ExperimentConfig, list[tuple[int, float]]], Iterator[dict]]
+    rows: Callable[[ExperimentConfig, list[float]], Iterator[dict]]
     pairs: tuple[str, ...] = ()
     domain_error: Callable[[SweepSpec], str | None] = lambda sweep: None
 
@@ -289,8 +282,8 @@ _MAX_SWEEP_POINTS = 10_000
 # 0.5-0.6 s per 1e6 trials on one CPU, so about 10 min at this cap; the
 # shipped configs use 1e5
 _MAX_TRIALS = 10**9
-# (intruder, fingerprint) pairs of one auth closed form, at about 58
-# bytes each in p_md_closed_form: 0.6 GB
+# (intruder, fingerprint) pairs of one auth closed form, at about 65
+# bytes each in p_md_closed_form when every window term is kept: 0.65 GB
 _MAX_AUTH_PAIRS = 10**7
 
 # Every config key: section -> key -> (type, bound, default), in the
@@ -508,17 +501,16 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def evaluate(config: ExperimentConfig) -> list[dict]:
-    """All sweep rows, in sweep order, from one sample for every point.  A
-    numeric failure names the point whose row was being made: point 0,
-    for a failure in the draws the points share."""
-    points = list(enumerate(config.sweep.values()))
+    """All sweep rows, in sweep order, from one sample for every point,
+    seeded by a fixed key.  A numeric failure names the point whose row
+    was being made: point 0, for a failure in the draws the points share."""
+    values = config.sweep.values()
     rows = []
     try:
-        for row in SCENARIOS[config.scenario].rows(config, points):
+        for row in SCENARIOS[config.scenario].rows(config, values):
             rows.append(row)
     except (ArithmeticError, ValueError) as exc:
-        index, value = points[len(rows)]
-        raise PointFailure(index, value, f"{type(exc).__name__}: {exc}") from exc
+        raise PointFailure(len(rows), values[len(rows)], f"{type(exc).__name__}: {exc}") from exc
     return rows
 
 

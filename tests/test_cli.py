@@ -517,8 +517,8 @@ def patch_rows(monkeypatch, scenario, rows):
 
 
 def test_numeric_failure_exits_three(tmp_path, capsys, monkeypatch):
-    def boom(config, points):
-        for index, value in points:
+    def boom(config, values):
+        for index, value in enumerate(values):
             if index == 2:
                 raise FloatingPointError("synthetic blowup")
             yield {}
@@ -538,8 +538,8 @@ def test_numeric_failure_exits_three(tmp_path, capsys, monkeypatch):
 ])
 def test_failing_shared_draw_names_the_first_point(tmp_path, capsys, monkeypatch,
                                                    scenario, engine, where):
-    # a coupled sweep's one sample is seeded by its first point, which a
-    # failure of that draw names
+    # a coupled sweep's one sample is drawn before any row, so a failure
+    # of that draw names the first point
     def boom(*args, **kwargs):
         raise FloatingPointError("synthetic blowup")
 
@@ -557,7 +557,7 @@ def test_failing_shared_draw_names_the_first_point(tmp_path, capsys, monkeypatch
 
 
 def test_programming_error_is_not_a_numeric_failure(tmp_path, capsys, monkeypatch):
-    def broken(config, points):
+    def broken(config, values):
         raise TypeError("synthetic bug")
         yield
 

@@ -1,5 +1,5 @@
 """The coupled sweeps: every scenario draws one Monte Carlo sample for
-the whole sweep, seeded by point 0, and evaluates it at every threshold,
+the whole sweep, seeded by a fixed key, and evaluates it at every threshold,
 noise level or jamming band (common random numbers).
 
 Each trial's outcome is then monotone in the swept variable where the

@@ -435,11 +435,21 @@ def test_consensus_matches_a_replay_through_the_marginals():
     assert res.mean_successes == pytest.approx(lam_s.mean(), rel=1e-12)
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def src_env(**env):
+    # a subprocess does not get pytest's pythonpath setting: put the
+    # checkout's src first on PYTHONPATH, so raftguard imports uninstalled
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, **env, PYTHONPATH=path)
+
+
 def test_import_does_not_load_scipy_stats():
     # scipy.stats costs about half a second to import
     code = "import sys, raftguard; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
+                         check=True, env=src_env())
     assert out.stdout.strip() == "False"
 
 
@@ -470,14 +480,10 @@ print("scipy.integrate" in sys.modules)
 def test_runs_do_not_load_scipy_integrate(tmp_path):
     # scipy.integrate drags in scipy.optimize, scipy.linalg and scipy.fft:
     # about 0.4 s and 25 MiB per process, so only the quadrature oracle loads it
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, RAFTGUARD_WORKERS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"),
-                                                        os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c", RUN_WITHOUT_INTEGRATE,
-         str(root / "configs" / "coverage_vs_beta.json"), str(tmp_path / "sweep.csv")],
-        capture_output=True, text=True, check=True, env=env,
+         str(ROOT / "configs" / "coverage_vs_beta.json"), str(tmp_path / "sweep.csv")],
+        capture_output=True, text=True, check=True, env=src_env(RAFTGUARD_WORKERS="1"),
     )
     lines = out.stdout.strip().splitlines()
     assert lines[-2] == "[]"
