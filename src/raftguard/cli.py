@@ -181,8 +181,7 @@ def _band_rows(band_at: Callable[[NetworkParams, float], tuple[float, float]],
                                         _derive_seed(config.master_seed, 0)),
                             bands=bands)
     for value, (z1, z2), mc in zip(values, bands, mcs):
-        # the closed form reads an empty band as no jammer
-        point = replace(p, annulus=AnnulusRegion(z1, z2)) if z1 < z2 else replace(p, rho_j=0.0)
+        point = replace(p, annulus=AnnulusRegion(z1, z2))
         yield _coverage_row(config.sweep.variable, value, coverage_joint(point), mc)
 
 

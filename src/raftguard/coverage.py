@@ -176,8 +176,8 @@ def laplace_interference(
     over the link distances ``r``.
 
     ``gamma`` is the jammer-to-transmitter power ratio.  ``method``
-    selects "closed_form" (hypergeometric, valid for every annulus
-    including inner radius 0) or "quadrature" (adaptive integration of
+    selects "closed_form" (hypergeometric, valid for every annulus,
+    empty or from radius 0) or "quadrature" (adaptive integration of
     the defining radial integral, kept only as the cross-check oracle).
     Returns a ``float`` for scalar ``r`` and an array otherwise.
     """
@@ -194,7 +194,8 @@ def laplace_interference(
         raise ValueError(f"rho_j must be >= 0, got {rho_j}")
     if not (math.isfinite(alpha) and alpha > 2.0):
         raise ValueError(f"alpha must be > 2, got {alpha}")
-    if rho_j == 0.0 or beta == 0.0:
+    # no jammer mass rho_j |A| (the simulator's Poisson mean): exactly 1
+    if rho_j * annulus.area == 0.0 or beta == 0.0:
         lap = np.ones_like(r)
     elif method == "quadrature":
         lap = np.array([_laplace_quadrature(x, beta, gamma, rho_j, alpha, annulus)
@@ -228,7 +229,9 @@ def _outer_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _coverage_direction(
     beta: float, gamma: float, params: NetworkParams, method: str,
 ) -> tuple[float, float]:
-    if params.rho_j == 0.0 or beta == 0.0:
+    # no jammer mass: exactly 1, where the outer weights sum to 1 - 9e-14
+    # and the empty band (0, 0) divides by zero in 2F1's argument
+    if params.rho_j * params.annulus.area == 0.0 or beta == 0.0:
         return 1.0, 0.0
     rho_t = params.rho_t
     r_max = math.sqrt(_OUTER_TAIL_EXPONENT / (math.pi * rho_t))

@@ -39,7 +39,7 @@ class DiskRegion:
 
 @dataclass(frozen=True)
 class AnnulusRegion:
-    """Annulus z1 <= r < z2 centered on the origin (z1 may be 0)."""
+    """Annulus z1 <= r < z2 centered on the origin: z1 may be 0, and z1 == z2 is empty."""
 
     inner: float
     outer: float
@@ -48,11 +48,11 @@ class AnnulusRegion:
         ok = (
             math.isfinite(self.inner)
             and math.isfinite(self.outer)
-            and 0.0 <= self.inner < self.outer
+            and 0.0 <= self.inner <= self.outer
         )
         if not ok:
             raise ValueError(
-                f"annulus needs 0 <= inner < outer, got ({self.inner}, {self.outer})"
+                f"annulus needs 0 <= inner <= outer, got ({self.inner}, {self.outer})"
             )
 
     @property

@@ -302,9 +302,10 @@ def estimate_coverage(config: TrialConfig, beta_db=None,
     each chunk draws one field on the hull [min z1, max z2] and sorts
     its radii, and band k reads the run of radii in [z1, z2), by
     restriction a PPP on that band (common random numbers).  Its law is
-    that of the one-band run; an empty band gives exactly 1, and a band
-    nested in another cannot cover a trial less.  Both follow the one
-    sweep rule of ``_sweeps``: at most one per call.
+    that of the one-band run on ``AnnulusRegion(z1, z2)``.  An empty band
+    (z1 == z2), like an empty hull, holds no jammer and gives exactly 1;
+    a band nested in another cannot cover a trial less.  Both follow the
+    one sweep rule of ``_sweeps``: at most one per call.
     """
     p = config.params
     beta_db, bands = _sweeps(beta_db=beta_db, bands=bands)
@@ -313,8 +314,7 @@ def estimate_coverage(config: TrialConfig, beta_db=None,
                                           for b in beta_db.tolist()]
     if bands is not None:
         lo, hi = bands[:, 0].min(), bands[:, 1].max()
-        # a hull of no area holds no jammer
-        p = replace(p, annulus=AnnulusRegion(lo, hi)) if lo < hi else replace(p, rho_j=0.0)
+        p = replace(p, annulus=AnnulusRegion(lo, hi))
         points = [p] * len(bands)
     blocks = [(q.beta_dl * q.gamma_dl, q.beta_ul * q.gamma_ul) for q in points]
     means = [_TrialMean() for _ in blocks]
@@ -463,10 +463,10 @@ def simulate_auth(
     so outcome k is bitwise the run of the profile with ``sigma[k]``.
     Both follow the one sweep rule of ``_sweeps``: at most one per call.
 
-    Before matching, each chunk of a noise sweep over a pool (legit, or
-    fixed intruders) orders its trials so that every level's
-    measurements reach ``AuthProfile.nearest`` in ascending runs; the
-    tallies count per-trial tests, so the order changes none of them.
+    Before matching, each chunk of a run over a pool (legit, or fixed
+    intruders) orders its trials so that every level's measurements
+    reach ``AuthProfile.nearest`` in ascending runs; the tallies count
+    per-trial tests, so the order changes none of them.
     """
     if scenario not in ("legit", "eve"):
         raise ValueError(f"unknown scenario {scenario!r}")
@@ -482,14 +482,12 @@ def simulate_auth(
         pool = profile.ground_truth
     elif eve_pathlosses is not None:
         pool = profile.intruders(eve_pathlosses)
-    # uniform weights drawn through ``choice``, whose stream differs from
-    # that of ``integers``
-    weights = None if pool is None else np.full(pool.size, 1.0 / pool.size)
-    # each pool entry's rank by value, to order a chunk's trials (below);
-    # at one level the order costs more than the search saves (the shipped
-    # roc sweep, m = 5, took 17.3 ms with it and 11.6 ms without, 2 CPUs)
-    rank = None
-    if sig.size > 1 and pool is not None:
+    weights = rank = None
+    if pool is not None:
+        # uniform weights drawn through ``choice``, whose stream differs
+        # from that of ``integers``, and each pool entry's rank by value,
+        # to order a chunk's trials (below)
+        weights = np.full(pool.size, 1.0 / pool.size)
         rank = np.empty(pool.size)
         rank[np.argsort(pool, kind="stable")] = np.arange(pool.size, dtype=float)
 

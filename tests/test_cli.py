@@ -202,6 +202,14 @@ def test_inverted_annulus_rejected(tmp_path, capsys):
     assert "annulus" in capsys.readouterr().err
 
 
+def test_annulus_of_equal_radii_is_valid(tmp_path, capsys):
+    # equal radii are an empty band: a network with no jammer
+    cfg = base_config(tmp_path)
+    cfg["params"]["annulus_inner_m"] = cfg["params"]["annulus_outer_m"] = 100.0
+    assert cli.main(["--config", write_config(tmp_path, cfg), "--validate-only"]) == 0
+    assert "config OK" in capsys.readouterr().out
+
+
 def test_auth_disk_must_be_wider_than_one_metre(tmp_path, capsys):
     # the intruder prior support ends at the pathloss at the disk edge,
     # which is 0 dB at 1 m

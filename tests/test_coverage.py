@@ -196,6 +196,19 @@ def test_coverage_without_jammers_is_one():
     assert res.p_joint == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("z", [0.0, 50.0])
+@pytest.mark.parametrize("method", ["closed_form", "quadrature"])
+def test_an_empty_band_is_exactly_one(z, method):
+    # AnnulusRegion(z, z) holds no jammer mass; at (0, 0) the closed
+    # form's 2F1 argument would divide by zero, and a RuntimeWarning
+    # fails the test
+    band = AnnulusRegion(z, z)
+    lap = laplace_interference([1.0, 100.0, 400.0], 0.1, 0.01, RHO_J, 3.0, band, method=method)
+    assert lap.tolist() == [1.0, 1.0, 1.0]
+    res = coverage_joint(default_params(annulus=band), method=method)
+    assert (res.p_dl, res.p_ul, res.quadrature_error_estimate) == (1.0, 1.0, 0.0)
+
+
 def test_coverage_decreases_with_threshold():
     vals = [coverage_joint(default_params(beta_dl_db=b, beta_ul_db=b)).p_joint
             for b in (-30.0, -25.0, -20.0, -15.0, -10.0, -5.0, 0.0)]

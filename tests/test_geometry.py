@@ -34,10 +34,18 @@ def test_disk_rejects_bad_radius(radius):
         DiskRegion(radius)
 
 
-@pytest.mark.parametrize("inner,outer", [(200.0, 100.0), (100.0, 100.0), (-1.0, 50.0)])
+@pytest.mark.parametrize("inner,outer", [(200.0, 100.0), (-1.0, 50.0), (math.nan, 50.0),
+                                         (0.0, math.nan), (0.0, math.inf)])
 def test_annulus_rejects_bad_bounds(inner, outer):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="0 <= inner <= outer"):
         AnnulusRegion(inner, outer)
+
+
+@pytest.mark.parametrize("z", [0.0, 100.0])
+def test_annulus_of_equal_radii_is_an_empty_band(z):
+    band = AnnulusRegion(z, z)
+    assert band.area == 0.0
+    assert annulus_radii(band, 0, np.random.default_rng(1)).size == 0
 
 
 def test_annulus_allows_zero_inner():

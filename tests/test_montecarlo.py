@@ -5,7 +5,7 @@ import subprocess
 import sys
 import threading
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -681,11 +681,17 @@ def test_band_sweep_follows_the_void_law(bands):
             assert abs(p_mc - void) <= 4.5 * se if z1 < z2 else (p_mc, ci) == (1.0, 0.0), (z1, z2)
 
 
+def _bits(outcome) -> list[str]:
+    return [float.hex(float(v)) for v in astuple(outcome)]
+
+
 @pytest.mark.parametrize("bands", [NESTED, [(0.0, 100.0), (60.0, 60.0)], [(40.0, 40.0)]],
                          ids=["first", "inside-the-hull", "hull-of-no-area"])
 def test_an_empty_band_is_certain_coverage(bands, monkeypatch):
     # an empty band reads an empty run of the field, so every trial of it
-    # is covered with probability exactly 1 and the half-widths are 0
+    # is covered with probability exactly 1 and the half-widths are 0;
+    # the one-band run on the empty AnnulusRegion(z1, z2) draws no jammer
+    # and gives the same record, bit for bit
     drawn = []
 
     def recording(region, n, rng):
@@ -694,15 +700,26 @@ def test_an_empty_band_is_certain_coverage(bands, monkeypatch):
 
     monkeypatch.setattr(montecarlo, "annulus_radii", recording)
     p = params(rho_j=4.0 * NetworkParams().rho_j)
-    sweep = estimate_coverage(TrialConfig(p, CHUNK_SIZE + 5, 3), bands=bands)
+    n = CHUNK_SIZE + 5
+    sweep = estimate_coverage(TrialConfig(p, n, 3), bands=bands)
     # one field per chunk, drawn on the hull
     assert len(drawn) == 2 and (sum(drawn) > 0) == any(z1 < z2 for z1, z2 in bands)
+    certain = _bits(CoverageEstimate(n, 1.0, 1.0, 0.0, 0.0, 0.0))
     for (z1, z2), got in zip(bands, sweep):
         if z1 == z2:
-            assert (got.p_dl, got.p_ul, got.p_joint) == (1.0, 1.0, 1.0)
-            assert (got.ci_dl, got.ci_ul, got.ci_joint) == (0.0, 0.0, 0.0)
+            one = estimate_coverage(TrialConfig(replace(p, annulus=AnnulusRegion(z1, z2)), n, 3))
+            assert _bits(got) == _bits(one) == certain, (z1, z2)
         else:
             assert got.p_joint < 1.0
+
+
+@pytest.mark.parametrize("z", [0.0, 50.0])
+def test_consensus_on_an_empty_band_is_the_run_without_jammers(z):
+    # the jammer mass rho_j |A| is 0 either way, so the two draw alike
+    n = 2 * CHUNK_SIZE + 5
+    empty = simulate_consensus(TrialConfig(params(annulus=AnnulusRegion(z, z)), n, 3))
+    silent = simulate_consensus(TrialConfig(params(rho_j=0.0), n, 3))
+    assert _bits(empty) == _bits(silent)
 
 
 @pytest.mark.parametrize("bands, beta_db", [
@@ -800,12 +817,15 @@ def test_auth_tallies_are_those_of_the_trials_in_draw_order(m, scenario, eves):
         assert [_tallies(o, n) for o in got] == expect, sweep
 
 
-@pytest.mark.parametrize("scenario, eves", [("legit", None), ("eve", [61.0, 50.0, 75.0, 61.0])],
-                         ids=["legit", "eve-fixed"])
-def test_auth_measurements_reach_nearest_in_ascending_runs(scenario, eves, monkeypatch):
+@pytest.mark.parametrize("scenario, eves, sigma", [
+    ("legit", None, [3.0, 0.3, 1e-3]), ("eve", [61.0, 50.0, 75.0, 61.0], [3.0, 0.3, 1e-3]),
+    ("legit", None, None), ("eve", [61.0, 50.0, 75.0, 61.0], None),
+], ids=["legit", "eve-fixed", "legit-one-level", "eve-fixed-one-level"])
+def test_auth_measurements_reach_nearest_in_ascending_runs(scenario, eves, sigma, monkeypatch):
     # with a pool, each chunk's trials come grouped by pool entry, in
     # ascending order of its value, with ascending noise inside a group:
-    # at every noise level, one ascending run per pool entry at most
+    # at every noise level, one ascending run per pool entry at most,
+    # whether the run sweeps the noise or not
     seen = []
     nearest = AuthProfile.nearest
 
@@ -816,9 +836,8 @@ def test_auth_measurements_reach_nearest_in_ascending_runs(scenario, eves, monke
     monkeypatch.setattr(AuthProfile, "nearest", recording)
     prof = profile()
     pool_size = prof.m if eves is None else len(eves)
-    simulate_auth(prof, scenario, 2 * CHUNK_SIZE + 5, 3, eve_pathlosses=eves,
-                  sigma=[3.0, 0.3, 1e-3])
-    assert len(seen) == 3 * 3
+    simulate_auth(prof, scenario, 2 * CHUNK_SIZE + 5, 3, eve_pathlosses=eves, sigma=sigma)
+    assert len(seen) == 3 * (1 if sigma is None else len(sigma))
     for z in seen:
         assert np.count_nonzero(np.diff(z) < 0.0) <= pool_size - 1
 
